@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -259,7 +260,7 @@ BENCHMARK(BM_Simulate)->Apply(thread_sweep)->Unit(benchmark::kMillisecond);
 // ---- Model artifact store + prediction service --------------------------
 //
 // Serialization cost scales with node count; scoring cost with batch size.
-// BENCH_serve.json records the committed baseline (1-vCPU container).
+// BENCH_serve.json records the committed baseline.
 
 const cart::Forest& serve_forest() {
   static const cart::Forest forest = [] {
@@ -322,30 +323,58 @@ const cart::Forest& numeric_forest() {
 
 void BM_PredictBatch(benchmark::State& state) {
   // Library-level kernel comparison, no service in the way: 2048 rows
-  // straight through Forest::predict with each scorer.
-  //   0 = flat, 1 = walker on the serve forest (categorical-heavy);
-  //   2 = flat, 3 = walker on the all-numeric forest (fast path).
-  const bool numeric = state.range(0) >= 2;
-  const cart::Forest& forest = numeric ? numeric_forest() : serve_forest();
-  const auto scorer = state.range(0) % 2 == 0 ? cart::Scorer::kFlat
-                                              : cart::Scorer::kWalker;
+  // straight through one forest. Arguments:
+  //   numeric  0 = serve forest (4 of 7 features nominal, general path),
+  //            1 = all-numeric forest (compare-only fast path);
+  //   shuffled 0 = rack-day rows in table order, so neighbouring rows
+  //                share tree paths and the walker's branches predict well,
+  //            1 = rows drawn from a seeded shuffle of the whole table, as
+  //                mixed serving traffic arrives;
+  //   walker   0 = the flat batch scorer, Forest::predict(data),
+  //            1 = the per-row pointer walker, Forest::predict(data, r),
+  //                fanned over the pool like the batch scorer — the
+  //                baseline the flat layout has to beat to stay.
+  const cart::Forest& forest =
+      state.range(0) != 0 ? numeric_forest() : serve_forest();
+  const bool shuffled = state.range(1) != 0;
+  const bool walker = state.range(2) != 0;
   const auto& b = bundle();
   core::ObservationOptions opt;
   opt.day_stride = 2;
   const table::Table all_rows = core::rack_day_table(b.metrics, b.env, opt);
+  std::vector<std::size_t> order(all_rows.num_rows());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (shuffled) {
+    util::Rng rng(7);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<std::size_t>(rng.below(i))]);
+    }
+  }
   std::vector<std::size_t> indices(2048);
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    indices[i] = i % all_rows.num_rows();
+    indices[i] = order[i % order.size()];
   }
   const table::Table rows = all_rows.take(indices);
   const cart::Dataset data =
       serve::make_scoring_dataset(rows, forest.trees().front().features());
+  std::vector<double> out(data.num_rows());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.predict(data, scorer));
+    if (walker) {
+      util::parallel_for(data.num_rows(), 0, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) out[r] = forest.predict(data, r);
+      });
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    } else {
+      benchmark::DoNotOptimize(forest.predict(data));
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2048);
 }
-BENCHMARK(BM_PredictBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PredictBatch)
+    ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}})
+    ->ArgNames({"numeric", "shuffled", "walker"})
+    ->Unit(benchmark::kMicrosecond);
 
 // Classification sibling: the single-row path tallies per-class votes,
 // which used to allocate a fresh vector per call (now thread_local scratch

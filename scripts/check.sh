@@ -97,19 +97,18 @@ if [[ "$serve_smoke" == 1 ]]; then
   fi
   echo "serve smoke: scored $scored/$rows rows"
 
-  # Both inference engines must produce byte-identical output end-to-end
-  # (the flat compiled layout is the default; the pointer walker is the
-  # golden reference it is held to).
-  ./build/tools/rainshine_score --model "$workdir/demo.rsf" --scorer flat \
-    --input "$workdir/rows.csv" --output "$workdir/scored_flat.csv"
-  ./build/tools/rainshine_score --model "$workdir/demo.rsf" --scorer walker \
-    --input "$workdir/rows.csv" --output "$workdir/scored_walker.csv"
-  if ! cmp -s "$workdir/scored_flat.csv" "$workdir/scored_walker.csv"; then
-    echo "serve smoke FAILED: flat and walker scorers disagree" >&2
-    diff "$workdir/scored_flat.csv" "$workdir/scored_walker.csv" | head >&2
+  # Scoring is bit-identical at any pool width: the same rows scored on one
+  # thread and on four must produce byte-identical output end-to-end.
+  RAINSHINE_THREADS=1 ./build/tools/rainshine_score --model "$workdir/demo.rsf" \
+    --input "$workdir/rows.csv" --output "$workdir/scored_t1.csv"
+  RAINSHINE_THREADS=4 ./build/tools/rainshine_score --model "$workdir/demo.rsf" \
+    --input "$workdir/rows.csv" --output "$workdir/scored_t4.csv"
+  if ! cmp -s "$workdir/scored_t1.csv" "$workdir/scored_t4.csv"; then
+    echo "serve smoke FAILED: 1-thread and 4-thread scores disagree" >&2
+    diff "$workdir/scored_t1.csv" "$workdir/scored_t4.csv" | head >&2
     exit 1
   fi
-  echo "serve smoke: flat and walker outputs byte-identical"
+  echo "serve smoke: 1-thread and 4-thread outputs byte-identical"
 
   echo "== metrics smoke: sidecars parse and carry the expected series =="
   # modelc --demo fits straight from the simulated log (no ingest pass).
@@ -144,7 +143,7 @@ if [[ "$net_smoke" == 1 ]]; then
     --metrics "$netdir/serve_metrics.json" > "$netdir/serve.out" \
     2> "$netdir/serve.err" &
   serve_pid=$!
-  # The tool prints "listening on HOST:PORT (scorer=...)" once bound.
+  # The tool prints "listening on HOST:PORT" once bound.
   port=""
   for _ in $(seq 1 50); do
     port="$(sed -n 's/^listening on [^:]*:\([0-9]*\).*$/\1/p' "$netdir/serve.out")"

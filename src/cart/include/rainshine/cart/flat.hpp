@@ -23,15 +23,13 @@
 //     `bitset_bits` mirrors Node::go_left.size() because the walker treats
 //     out-of-range codes as missing and the flat path must match bit-for-bit.
 //
-// The walker is retained as the golden reference (same pattern as the
-// presort-vs-exhaustive split engines): `Forest::predict` takes a `Scorer`
-// and tests assert bit-identity between the two on every feature shape.
+// Forest::predict(data) scores batches with this layout only. The pointer
+// walker survives as the single-row Forest::predict(data, row), which the
+// golden tests use as the per-row oracle for bit-identity.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "rainshine/cart/dataset.hpp"
@@ -39,20 +37,8 @@
 
 namespace rainshine::cart {
 
-/// Which prediction kernel Forest::predict uses. The flat kernel is the
-/// production default; the pointer walker is the golden reference and stays
-/// reachable from the CLIs (`--scorer walker`) and the service config.
-enum class Scorer : std::uint8_t { kFlat, kWalker };
-
-[[nodiscard]] constexpr std::string_view to_string(Scorer s) noexcept {
-  return s == Scorer::kFlat ? "flat" : "walker";
-}
-/// Parses "flat" / "walker" (the CLI spelling). nullopt on anything else.
-[[nodiscard]] std::optional<Scorer> parse_scorer(std::string_view name) noexcept;
-
-/// One compiled node. 32 bytes, trivially copyable, no interior pointers —
-/// this exact byte layout (little-endian) is the `.rsf` v2 flat section, so
-/// on LE hosts load_forest adopts the node array with a single memcpy.
+/// One compiled node. 32 bytes, so two share a cache line and none straddles
+/// one. Built only by FlatForest::compile; never serialized.
 struct FlatNode {
   double threshold = 0.0;     ///< numeric split threshold; leaf payload on leaves
   /// Absolute child indices, [0] = left, [1] = right (== own index on
@@ -65,12 +51,10 @@ struct FlatNode {
   std::uint32_t bitset_bits = 0;    ///< == Node::go_left.size() (categorical), else 0
   std::uint8_t categorical = 0;
   std::uint8_t missing_goes_left = 0;  ///< 1 on leaves (keeps NaN a self-loop)
-  /// Bit 0/1: child[0]/child[1] is a leaf. Derived in memory by
-  /// init_derived so the general path can retire a row the moment it steps
-  /// onto a leaf; MUST be zero on disk (the .rsf v2 decoder rejects
-  /// nonzero pad bytes and recomputes this after adoption).
+  /// Bit 0/1: child[0]/child[1] is a leaf, so the walk can retire a row the
+  /// moment it steps onto a leaf.
   std::uint8_t leaf_children = 0;
-  std::uint8_t pad0 = 0;  ///< zero on disk and in memory
+  std::uint8_t pad0 = 0;
 
   friend bool operator==(const FlatNode&, const FlatNode&) = default;
 };
@@ -91,21 +75,12 @@ class FlatForest {
   [[nodiscard]] static FlatForest compile(Task task, std::span<const Tree> trees,
                                           std::size_t num_classes);
 
-  /// Adoption constructor for serve::load_forest: the caller (artifact
-  /// validation) has already proven the structural invariants that compile()
-  /// guarantees by construction — see decode_flat in serve/artifact.cpp.
-  FlatForest(Task task, std::size_t num_classes, std::vector<FlatNode> nodes,
-             std::vector<std::uint32_t> roots, std::vector<std::uint32_t> depths,
-             std::vector<std::uint64_t> bitset_pool);
-
-  /// Bit-identical to the walker batch predict at any RAINSHINE_THREADS:
-  /// each row's result depends only on its own cells, trees are accumulated
-  /// in tree order, and parallel_for chunking never crosses a row.
+  /// Bit-identical to the per-row walker at any RAINSHINE_THREADS: each
+  /// row's result depends only on its own cells, trees are accumulated in
+  /// tree order, and parallel_for chunking never crosses a row.
   [[nodiscard]] std::vector<double> predict(const Dataset& data) const;
 
-  [[nodiscard]] Task task() const noexcept { return task_; }
   [[nodiscard]] std::size_t num_trees() const noexcept { return roots_.size(); }
-  [[nodiscard]] std::size_t num_classes() const noexcept { return num_classes_; }
   [[nodiscard]] bool has_categorical() const noexcept { return has_categorical_; }
   [[nodiscard]] const std::vector<FlatNode>& nodes() const noexcept { return nodes_; }
   /// Start index of each tree's node span (tree t is [roots[t], roots[t+1])
@@ -113,9 +88,6 @@ class FlatForest {
   [[nodiscard]] const std::vector<std::uint32_t>& roots() const noexcept { return roots_; }
   /// Max node depth per tree == passes the fixed-depth loop runs.
   [[nodiscard]] const std::vector<std::uint32_t>& depths() const noexcept { return depths_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& bitset_pool() const noexcept {
-    return bitset_pool_;
-  }
 
   friend bool operator==(const FlatForest& a, const FlatForest& b) = default;
 
@@ -134,7 +106,7 @@ class FlatForest {
   std::vector<std::uint32_t> roots_;
   std::vector<std::uint32_t> depths_;
   std::vector<std::uint64_t> bitset_pool_;
-  // Derived (recomputed by init_derived; not serialized, not compared).
+  // Derived from the fields above by init_derived, at the end of compile.
   bool has_categorical_ = false;
   std::vector<std::uint8_t> used_features_;  ///< NaN scan only looks at these
   std::vector<std::uint8_t> tree_categorical_;  ///< per-tree fast-path gate

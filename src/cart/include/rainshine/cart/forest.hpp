@@ -36,13 +36,9 @@ struct ForestConfig {
 class Forest {
  public:
   /// Compiles the flat inference layout (see flat.hpp) as part of
-  /// construction, so every Forest — grown, loaded, or test-built — can
-  /// score with either kernel.
+  /// construction, so every Forest — grown, loaded, or test-built — scores
+  /// batches with it.
   Forest(Task task, std::vector<Tree> trees, double oob_error);
-
-  /// Adopts a pre-built flat layout instead of compiling one (the `.rsf` v2
-  /// load path, where the artifact carries the validated flat section).
-  Forest(Task task, std::vector<Tree> trees, double oob_error, FlatForest flat);
 
   [[nodiscard]] Task task() const noexcept { return task_; }
   [[nodiscard]] const std::vector<Tree>& trees() const noexcept { return trees_; }
@@ -50,11 +46,10 @@ class Forest {
   [[nodiscard]] const FlatForest& flat() const noexcept { return flat_; }
 
   /// Regression: mean of tree predictions. Classification: plurality vote.
-  /// The single-row form always uses the pointer walker (it is the
-  /// per-tree golden reference); batch scoring picks the kernel.
+  /// The single-row form walks the pointer trees and is the golden oracle;
+  /// the batch form scores with the flat layout and is bit-identical to it.
   [[nodiscard]] double predict(const Dataset& data, std::size_t row) const;
-  [[nodiscard]] std::vector<double> predict(const Dataset& data,
-                                            Scorer scorer = Scorer::kFlat) const;
+  [[nodiscard]] std::vector<double> predict(const Dataset& data) const;
 
   /// Out-of-bag error from fitting: mean squared error (regression) or
   /// error rate (classification) over rows, each predicted only by trees
@@ -81,9 +76,6 @@ class Forest {
   }
 
  private:
-  [[nodiscard]] double predict_row(const Dataset& data, std::size_t row,
-                                   std::vector<int>& votes) const;
-
   Task task_;
   std::vector<Tree> trees_;
   double oob_error_ = 0.0;

@@ -1,7 +1,6 @@
 #include "rainshine/cart/flat.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 
@@ -11,30 +10,12 @@
 namespace rainshine::cart {
 namespace {
 
-// The .rsf v2 flat section memcpy path in serve/artifact.cpp relies on this
-// exact field placement; keep the asserts next to the traversal that also
-// depends on it.
-static_assert(offsetof(FlatNode, threshold) == 0);
-static_assert(offsetof(FlatNode, child) == 8);
-static_assert(offsetof(FlatNode, feature) == 16);
-static_assert(offsetof(FlatNode, bitset_offset) == 20);
-static_assert(offsetof(FlatNode, bitset_bits) == 24);
-static_assert(offsetof(FlatNode, categorical) == 28);
-static_assert(offsetof(FlatNode, missing_goes_left) == 29);
-static_assert(offsetof(FlatNode, leaf_children) == 30);
-
 [[nodiscard]] inline bool bitset_test(const std::uint64_t* pool,
                                       std::uint32_t offset, std::size_t bit) {
   return (pool[offset + bit / 64] >> (bit % 64)) & 1U;
 }
 
 }  // namespace
-
-std::optional<Scorer> parse_scorer(std::string_view name) noexcept {
-  if (name == "flat") return Scorer::kFlat;
-  if (name == "walker") return Scorer::kWalker;
-  return std::nullopt;
-}
 
 /// Per-chunk traversal scratch, reused across blocks so steady-state scoring
 /// allocates nothing.
@@ -120,23 +101,7 @@ FlatForest FlatForest::compile(Task task, std::span<const Tree> trees,
   return f;
 }
 
-FlatForest::FlatForest(Task task, std::size_t num_classes,
-                       std::vector<FlatNode> nodes, std::vector<std::uint32_t> roots,
-                       std::vector<std::uint32_t> depths,
-                       std::vector<std::uint64_t> bitset_pool)
-    : task_(task),
-      num_classes_(num_classes),
-      nodes_(std::move(nodes)),
-      roots_(std::move(roots)),
-      depths_(std::move(depths)),
-      bitset_pool_(std::move(bitset_pool)) {
-  util::require(roots_.size() == depths_.size(), "flat forest roots/depths mismatch");
-  init_derived();
-}
-
 void FlatForest::init_derived() {
-  has_categorical_ = false;
-  used_features_.clear();
   tree_categorical_.assign(roots_.size(), 0);
   const auto is_leaf = [&](std::uint32_t j) {
     return nodes_[j].child[0] == j;

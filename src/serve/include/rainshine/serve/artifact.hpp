@@ -8,11 +8,10 @@
 //   offset  size  field
 //   ------  ----  ------------------------------------------------------
 //        0     4  magic "RSF1"
-//        4     4  format version (u32, little-endian; 1 or 2)
+//        4     4  format version (u32, little-endian; always 1)
 //        8     8  payload size in bytes (u64)
 //       16     4  CRC32 (IEEE 802.3) of the payload bytes (u32)
-//       20     -  payload: metadata block, packed trees, then (v2) the
-//                 flat inference section
+//       20     -  payload: metadata block, then the packed trees
 //
 // The payload is byte-oriented little-endian regardless of host endianness
 // (integers are assembled a byte at a time; doubles travel as the LE bytes
@@ -22,31 +21,18 @@
 // names, categorical flags, level dictionaries), the ForestConfig that grew
 // the model, and its out-of-bag error.
 //
-// Version 2 appends the compiled cart::FlatForest the serving hot path
-// scores with (see cart/flat.hpp), so loading adopts the layout instead of
-// re-deriving it:
-//
-//   u64 node_count | u64 root_count | u64 pool_word_count
-//   root_count x u32 roots          (start index of each tree's node span)
-//   root_count x u32 depths         (max node depth per tree)
-//   node_count x 32-byte FlatNode records — exactly the in-memory layout
-//     on little-endian hosts (f64 threshold, u32 child[2], u32 feature,
-//     u32 bitset_offset, u32 bitset_bits, u8 categorical,
-//     u8 missing_goes_left, 2 zero bytes), so the decoder adopts the whole
-//     array with one memcpy there
-//   pool_word_count x u64 bitset pool words
-//
-// The decoder re-proves every structural invariant the traversal relies on
-// (spans match the v1 trees, children stay inside their tree and after
-// their parent, recomputed BFS depths equal the stored depths, bitset
-// ranges sit inside the pool) before adopting; a forged-CRC artifact gets a
-// typed kMalformedFlat error, never UB. Version-1 artifacts stay loadable —
-// the flat layout is compiled from the trees on load instead.
+// An artifact holds the trees only. Loading validates them and compiles the
+// cart::FlatForest the batch scorer uses (see cart/flat.hpp), which is
+// cheaper than reading and re-proving a stored copy of that layout. Format
+// version 2 appended such a copy; this build refuses v2 files with
+// kUnsupportedVersion. Re-fit the model with rainshine_modelc to migrate
+// (it is deterministic for the same inputs and seed).
 //
 // Loading NEVER exhibits UB on a damaged file. Every read is bounds-checked
 // against the declared payload, counts are sanity-capped against the bytes
-// that remain, and structural invariants (child indices in range, feature
-// indices inside the schema) are re-validated; any violation throws a typed
+// that remain, and structural invariants (child indices in range, every
+// node but the root reached from exactly one parent, feature indices inside
+// the schema) are re-validated; any violation throws a typed
 // `artifact_error` carrying an ArtifactError reason — the serving analogue
 // of ingest::ReasonCode.
 #pragma once
@@ -66,10 +52,8 @@
 namespace rainshine::serve {
 
 inline constexpr std::array<unsigned char, 4> kMagic{'R', 'S', 'F', '1'};
-/// Newest format this build writes (and the newest it reads).
-inline constexpr std::uint32_t kFormatVersion = 2;
-/// Oldest format this build still reads (v1 = trees only, no flat section).
-inline constexpr std::uint32_t kMinFormatVersion = 1;
+/// The one format this build writes and reads.
+inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 20;
 inline constexpr std::string_view kArtifactExtension = ".rsf";
 
@@ -82,7 +66,6 @@ enum class ArtifactError : std::uint8_t {
   kChecksumMismatch,    ///< CRC32 over the payload does not match the header
   kMalformedMetadata,   ///< metadata block failed bounds/sanity checks
   kMalformedForest,     ///< tree block failed bounds/structural checks
-  kMalformedFlat,       ///< v2 flat section failed bounds/structural checks
   kTrailingBytes,       ///< bytes follow the declared payload
 };
 
@@ -95,7 +78,6 @@ enum class ArtifactError : std::uint8_t {
     case ArtifactError::kChecksumMismatch: return "checksum-mismatch";
     case ArtifactError::kMalformedMetadata: return "malformed-metadata";
     case ArtifactError::kMalformedForest: return "malformed-forest";
-    case ArtifactError::kMalformedFlat: return "malformed-flat";
     case ArtifactError::kTrailingBytes: return "trailing-bytes";
   }
   return "?";
@@ -147,13 +129,6 @@ void save_forest(const cart::Forest& forest, const ModelMetadata& meta,
                  std::ostream& out);
 void save_forest_file(const cart::Forest& forest, const ModelMetadata& meta,
                       const std::string& path);
-
-/// Compatibility writer: emits a version-1 artifact (trees only, no flat
-/// section) that older builds load unchanged. New code should prefer
-/// save_forest; this exists for fleets mid-upgrade and for pinning the v1
-/// golden file in tests.
-void save_forest_v1(const cart::Forest& forest, const ModelMetadata& meta,
-                    std::ostream& out);
 
 /// Parses an artifact, validating header, checksum and structure; throws
 /// artifact_error (with a typed reason) on anything less than a pristine

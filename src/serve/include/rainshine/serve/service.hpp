@@ -93,10 +93,6 @@ struct ServiceConfig {
   /// Flush the pending batch once its oldest request has waited this long,
   /// even if it is below max_batch_rows.
   std::chrono::microseconds max_batch_delay{2000};
-  /// Which inference engine scores batches: the flat compiled layout
-  /// (default) or the pointer-walking reference. Both are bit-identical;
-  /// kWalker exists as the golden fallback (--scorer=walker).
-  cart::Scorer scorer = cart::Scorer::kFlat;
 };
 
 /// Monotonic counters snapshot. Latencies are measured enqueue → scored, in
@@ -181,7 +177,6 @@ class PredictionService {
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] const ModelMetadata& model() const noexcept { return meta_; }
-  [[nodiscard]] cart::Scorer scorer() const noexcept { return config_.scorer; }
 
  private:
   struct Request {

@@ -1,11 +1,10 @@
 #include "rainshine/serve/artifact.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 
 #include "rainshine/util/check.hpp"
@@ -134,16 +133,6 @@ class Reader {
                                 data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += n;
     return b;
-  }
-
-  /// Raw view over the next `n` bytes (for bulk memcpy adoption of fixed
-  /// layout records). Bounds-checked like every other accessor.
-  [[nodiscard]] std::span<const unsigned char> get_raw(std::size_t n,
-                                                       const char* what) {
-    need(n, what);
-    const auto view = data_.subspan(pos_, n);
-    pos_ += n;
-    return view;
   }
 
  private:
@@ -279,15 +268,20 @@ cart::Node decode_node(Reader& r) {
 }
 
 /// Structural invariants prediction relies on (tree.cpp walks children
-/// unchecked, Forest sizes its vote tally from leaf predictions), re-proved
-/// here so a forged-CRC artifact still cannot cause UB:
+/// unchecked, FlatForest::compile copies every subtree it reaches, Forest
+/// sizes its vote tally from leaf predictions), re-proved here so a
+/// forged-CRC artifact still cannot cause UB:
 ///   * children both absent (leaf) or both present, in (id, num_nodes) —
 ///     strictly increasing indices guarantee the walk terminates;
+///   * every node but the root is the child of exactly one node, so the
+///     nodes form a tree, not a DAG whose shared subtrees the compile
+///     would copy once per path (exponential in depth);
 ///   * split features name a schema column;
 ///   * classification leaf predictions are integral class codes.
 void validate_tree(const std::vector<cart::Node>& nodes,
                    const ModelMetadata& meta, Reader& r) {
   const auto n = static_cast<std::int32_t>(nodes.size());
+  std::vector<std::uint8_t> has_parent(nodes.size(), 0);
   for (std::size_t id = 0; id < nodes.size(); ++id) {
     const cart::Node& node = nodes[id];
     const bool left_leaf = node.left == cart::kNoChild;
@@ -301,6 +295,13 @@ void validate_tree(const std::vector<cart::Node>& nodes,
           node.right >= n) {
         r.fail("node " + std::to_string(id) + " child indices out of range");
       }
+      for (const std::int32_t child : {node.left, node.right}) {
+        std::uint8_t& seen = has_parent[static_cast<std::size_t>(child)];
+        if (seen != 0) {
+          r.fail("node " + std::to_string(child) + " has two parents");
+        }
+        seen = 1;
+      }
       if (node.feature >= meta.schema.size()) {
         r.fail("node " + std::to_string(id) + " split feature out of schema");
       }
@@ -312,170 +313,9 @@ void validate_tree(const std::vector<cart::Node>& nodes,
       }
     }
   }
-}
-
-// ---- v2 flat inference section ---------------------------------------------
-
-void encode_flat(std::vector<unsigned char>& out, const cart::FlatForest& f) {
-  put_u64(out, f.nodes().size());
-  put_u64(out, f.roots().size());
-  put_u64(out, f.bitset_pool().size());
-  for (const std::uint32_t r : f.roots()) put_u32(out, r);
-  for (const std::uint32_t d : f.depths()) put_u32(out, d);
-  for (const cart::FlatNode& nd : f.nodes()) {
-    put_f64(out, nd.threshold);
-    put_u32(out, nd.child[0]);
-    put_u32(out, nd.child[1]);
-    put_u32(out, nd.feature);
-    put_u32(out, nd.bitset_offset);
-    put_u32(out, nd.bitset_bits);
-    put_u8(out, nd.categorical);
-    put_u8(out, nd.missing_goes_left);
-    // leaf_children is derived in memory (init_derived); pads are zero on
-    // disk so the record matches the canonical compile() output bytes.
-    put_u8(out, 0);
-    put_u8(out, 0);
+  for (std::size_t id = 1; id < nodes.size(); ++id) {
+    if (has_parent[id] == 0) r.fail("node " + std::to_string(id) + " has no parent");
   }
-  for (const std::uint64_t w : f.bitset_pool()) put_u64(out, w);
-}
-
-/// Decodes and structurally validates the v2 flat section so the forest can
-/// adopt it without recompiling from the trees. Everything the traversal
-/// dereferences unchecked is re-proved here against the already-validated
-/// v1 trees: per-tree node spans, child/feature/bitset ranges, and the
-/// stored max depths (recomputed by one ascending pass — valid because
-/// children always follow their parent in the BFS layout).
-cart::FlatForest decode_flat(Reader& r, const ModelMetadata& meta,
-                             std::span<const cart::Tree> trees) {
-  r.set_section(ArtifactError::kMalformedFlat);
-  const std::size_t node_count = r.get_count(32, "flat-node");
-  const std::uint64_t root_count = r.get_u64();
-  if (root_count != trees.size()) {
-    r.fail("flat root count " + std::to_string(root_count) + " != " +
-           std::to_string(trees.size()) + " trees");
-  }
-  const std::size_t pool_words = r.get_count(8, "flat-pool-word");
-
-  std::vector<std::uint32_t> roots(trees.size());
-  for (auto& v : roots) v = r.get_u32();
-  if (roots.front() != 0) r.fail("flat tree spans do not start at node 0");
-  std::vector<std::uint32_t> depths(trees.size());
-  for (auto& v : depths) v = r.get_u32();
-
-  std::vector<cart::FlatNode> nodes(node_count);
-  const auto raw = r.get_raw(node_count * sizeof(cart::FlatNode), "flat-node records");
-  if constexpr (std::endian::native == std::endian::little) {
-    // The on-disk record IS the in-memory struct on LE hosts (static_asserts
-    // in cart/flat.cpp pin the field offsets): adopt with one memcpy.
-    std::memcpy(nodes.data(), raw.data(), raw.size());
-  } else {
-    for (std::size_t i = 0; i < node_count; ++i) {
-      const unsigned char* p = raw.data() + i * sizeof(cart::FlatNode);
-      const auto u32_at = [&](std::size_t off) {
-        std::uint32_t v = 0;
-        for (std::size_t b = 0; b < 4; ++b) {
-          v |= static_cast<std::uint32_t>(p[off + b]) << (8 * b);
-        }
-        return v;
-      };
-      std::uint64_t thr = 0;
-      for (std::size_t b = 0; b < 8; ++b) {
-        thr |= static_cast<std::uint64_t>(p[b]) << (8 * b);
-      }
-      nodes[i].threshold = std::bit_cast<double>(thr);
-      nodes[i].child[0] = u32_at(8);
-      nodes[i].child[1] = u32_at(12);
-      nodes[i].feature = u32_at(16);
-      nodes[i].bitset_offset = u32_at(20);
-      nodes[i].bitset_bits = u32_at(24);
-      nodes[i].categorical = p[28];
-      nodes[i].missing_goes_left = p[29];
-      nodes[i].leaf_children = p[30];
-      nodes[i].pad0 = p[31];
-    }
-  }
-  std::vector<std::uint64_t> pool(pool_words);
-  for (auto& w : pool) w = r.get_u64();
-
-  // Per-tree structural validation against the v1 trees decoded just before.
-  std::vector<std::uint32_t> level;
-  constexpr std::uint32_t kUnreached = 0xFFFFFFFFu;
-  for (std::size_t t = 0; t < trees.size(); ++t) {
-    const std::size_t begin = roots[t];
-    const std::size_t end = t + 1 < trees.size() ? roots[t + 1] : node_count;
-    const auto tree_label = [&](const std::string& what) {
-      return "flat tree " + std::to_string(t) + " " + what;
-    };
-    if (begin >= end || end > node_count) {
-      r.fail(tree_label("node span is empty or out of order"));
-    }
-    if (end - begin != trees[t].nodes().size()) {
-      r.fail(tree_label("node span size != tree node count"));
-    }
-    level.assign(end - begin, kUnreached);
-    level[0] = 0;
-    std::uint32_t max_depth = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const cart::FlatNode& nd = nodes[i];
-      if (level[i - begin] == kUnreached) {
-        r.fail(tree_label("node " + std::to_string(i - begin) + " is unreachable"));
-      }
-      max_depth = std::max(max_depth, level[i - begin]);
-      if (nd.categorical > 1 || nd.missing_goes_left > 1 ||
-          nd.leaf_children != 0 || nd.pad0 != 0) {
-        r.fail(tree_label("node " + std::to_string(i - begin) + " flag bytes invalid"));
-      }
-      if (nd.child[0] == i) {  // leaf: self-loop, payload in threshold
-        if (nd.child[1] != i || nd.missing_goes_left != 1 ||
-            nd.categorical != 0 || nd.feature != 0 || nd.bitset_offset != 0 ||
-            nd.bitset_bits != 0) {
-          r.fail(tree_label("leaf " + std::to_string(i - begin) + " malformed"));
-        }
-        if (meta.task == cart::Task::kClassification) {
-          const double p = nd.threshold;
-          if (!(p >= 0.0) ||
-              p >= static_cast<double>(meta.class_labels.size()) ||
-              p != std::floor(p)) {
-            r.fail(tree_label("leaf class code invalid"));
-          }
-        }
-        continue;
-      }
-      if (nd.child[0] <= i || nd.child[1] <= i || nd.child[0] >= end ||
-          nd.child[1] >= end) {
-        r.fail(tree_label("node " + std::to_string(i - begin) +
-                          " child indices out of range"));
-      }
-      for (const std::uint32_t c : nd.child) {
-        if (level[c - begin] != kUnreached) {
-          r.fail(tree_label("node " + std::to_string(c - begin) +
-                            " has two parents"));
-        }
-        level[c - begin] = level[i - begin] + 1;
-      }
-      if (nd.feature >= meta.schema.size()) {
-        r.fail(tree_label("split feature out of schema"));
-      }
-      if (nd.categorical != 0) {
-        if (nd.bitset_bits == 0) r.fail(tree_label("categorical bitset empty"));
-        const std::size_t words = (static_cast<std::size_t>(nd.bitset_bits) + 63) / 64;
-        if (nd.bitset_offset > pool_words || words > pool_words - nd.bitset_offset) {
-          r.fail(tree_label("categorical bitset outside the pool"));
-        }
-      } else if (nd.bitset_offset != 0 || nd.bitset_bits != 0) {
-        r.fail(tree_label("numeric node carries bitset fields"));
-      }
-    }
-    if (max_depth != depths[t]) {
-      r.fail(tree_label("stored depth " + std::to_string(depths[t]) +
-                        " != recomputed " + std::to_string(max_depth)));
-    }
-  }
-
-  const std::size_t num_classes =
-      meta.task == cart::Task::kClassification ? meta.class_labels.size() : 0;
-  return cart::FlatForest(meta.task, num_classes, std::move(nodes),
-                          std::move(roots), std::move(depths), std::move(pool));
 }
 
 void write_bytes(std::ostream& out, const unsigned char* data, std::size_t n) {
@@ -504,10 +344,8 @@ std::uint32_t crc32(std::span<const unsigned char> bytes) noexcept {
   return crc ^ 0xFFFFFFFFu;
 }
 
-namespace {
-
-void save_forest_impl(const cart::Forest& forest, const ModelMetadata& meta,
-                      std::ostream& out, std::uint32_t version) {
+void save_forest(const cart::Forest& forest, const ModelMetadata& meta,
+                 std::ostream& out) {
   util::require(forest.size() > 0, "cannot save an empty forest");
   const cart::Tree& first = forest.trees().front();
   for (const cart::Tree& tree : forest.trees()) {
@@ -529,30 +367,17 @@ void save_forest_impl(const cart::Forest& forest, const ModelMetadata& meta,
     put_u64(payload, tree.nodes().size());
     for (const cart::Node& node : tree.nodes()) encode_node(payload, node);
   }
-  if (version >= 2) encode_flat(payload, forest.flat());
 
   std::vector<unsigned char> header;
   header.reserve(kHeaderBytes);
   header.insert(header.end(), kMagic.begin(), kMagic.end());
-  put_u32(header, version);
+  put_u32(header, kFormatVersion);
   put_u64(header, payload.size());
   put_u32(header, crc32(payload));
 
   write_bytes(out, header.data(), header.size());
   write_bytes(out, payload.data(), payload.size());
   util::require(out.good(), "I/O error writing model artifact");
-}
-
-}  // namespace
-
-void save_forest(const cart::Forest& forest, const ModelMetadata& meta,
-                 std::ostream& out) {
-  save_forest_impl(forest, meta, out, kFormatVersion);
-}
-
-void save_forest_v1(const cart::Forest& forest, const ModelMetadata& meta,
-                    std::ostream& out) {
-  save_forest_impl(forest, meta, out, 1);
 }
 
 void save_forest_file(const cart::Forest& forest, const ModelMetadata& meta,
@@ -584,11 +409,10 @@ ModelArtifact load_forest(std::istream& in) {
   const std::span<const unsigned char> header_span(header);
   Reader h(header_span.subspan(kMagic.size()), ArtifactError::kTruncated);
   const std::uint32_t version = h.get_u32();
-  if (version < kMinFormatVersion || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     throw artifact_error(ArtifactError::kUnsupportedVersion,
                          "format version " + std::to_string(version) +
-                             " (this build reads versions " +
-                             std::to_string(kMinFormatVersion) + " through " +
+                             " (this build reads version " +
                              std::to_string(kFormatVersion) + ")");
   }
   const std::uint64_t payload_size = h.get_u64();
@@ -646,22 +470,12 @@ ModelArtifact load_forest(std::istream& in) {
                        std::move(nodes), artifact.meta.class_labels);
   }
 
-  if (version >= 2) {
-    cart::FlatForest flat = decode_flat(r, artifact.meta, trees);
-    if (!r.exhausted()) {
-      r.fail(std::to_string(r.remaining()) + " undeclared bytes after the flat section");
-    }
-    artifact.forest = std::make_shared<const cart::Forest>(
-        artifact.meta.task, std::move(trees), artifact.meta.oob_error,
-        std::move(flat));
-  } else {
-    if (!r.exhausted()) {
-      r.fail(std::to_string(r.remaining()) + " undeclared bytes after the forest");
-    }
-    // v1 carries no flat section; the Forest constructor compiles one.
-    artifact.forest = std::make_shared<const cart::Forest>(
-        artifact.meta.task, std::move(trees), artifact.meta.oob_error);
+  if (!r.exhausted()) {
+    r.fail(std::to_string(r.remaining()) + " undeclared bytes after the forest");
   }
+  // The Forest constructor compiles the flat scoring layout from the trees.
+  artifact.forest = std::make_shared<const cart::Forest>(
+      artifact.meta.task, std::move(trees), artifact.meta.oob_error);
   return artifact;
 }
 

@@ -279,7 +279,7 @@ void PredictionService::score_batch(std::vector<Request> batch,
         // Forest::predict fans the rows across the shared pool; its output is
         // bit-identical at any thread count and does not depend on what else
         // is in the batch, so batching is pure scheduling.
-        result = forest_->predict(req.rows, config_.scorer);
+        result = forest_->predict(req.rows);
       } catch (...) {
         error = std::current_exception();
       }

@@ -1,18 +1,20 @@
 // Golden-equality suite for the flat batch-major scorer.
 //
-// FlatForest (Scorer::kFlat, the production default) must predict EXACTLY
-// what the pointer walker (Scorer::kWalker, the seed implementation)
-// predicts — bit-identical doubles, not approximately equal — across every
-// feature shape the walker handles: all-numeric fast path, missing values
-// routed by the recorded default side, categorical subset tests with
-// out-of-dictionary codes, single-node trees, and ties in classification
-// votes. Same pattern as the presort-vs-exhaustive split-engine suite.
+// Forest::predict(data), which scores with FlatForest, must predict EXACTLY
+// what the pointer walker (the single-row Forest::predict(data, r), the seed
+// implementation) predicts row by row — bit-identical doubles, not
+// approximately equal — across every feature shape the walker handles:
+// all-numeric fast path, missing values routed by the recorded default side,
+// categorical subset tests with out-of-dictionary codes, single-node trees,
+// and ties in classification votes. Same pattern as the presort-vs-exhaustive
+// split-engine suite.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "rainshine/cart/forest.hpp"
 #include "rainshine/util/parallel.hpp"
@@ -32,8 +34,20 @@ void expect_bit_identical(const std::vector<double>& a,
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i]))
-        << "row " << i << ": flat " << a[i] << " vs walker " << b[i];
+        << "row " << i << ": " << a[i] << " vs " << b[i];
   }
+}
+
+/// The oracle: every row scored on its own by the pointer walker.
+std::vector<double> walker_predict(const Forest& forest, const Dataset& data) {
+  std::vector<double> out(data.num_rows());
+  for (std::size_t r = 0; r < out.size(); ++r) out[r] = forest.predict(data, r);
+  return out;
+}
+
+/// The flat batch scorer against the per-row walker oracle.
+void expect_flat_matches_walker(const Forest& forest, const Dataset& data) {
+  expect_bit_identical(forest.predict(data), walker_predict(forest, data));
 }
 
 Table numeric_fixture(std::size_t n, util::Rng& rng, double missing_rate = 0.0) {
@@ -104,8 +118,7 @@ TEST(FlatGolden, NumericRegressionFastPath) {
   const Dataset data(t, "y", {"x1", "x2", "x3"}, Task::kRegression);
   const Forest forest = grow_forest(data, small_forest());
   EXPECT_FALSE(forest.flat().has_categorical());
-  expect_bit_identical(forest.predict(data, Scorer::kFlat),
-                       forest.predict(data, Scorer::kWalker));
+  expect_flat_matches_walker(forest, data);
 }
 
 TEST(FlatGolden, NumericRegressionWithMissingValues) {
@@ -113,8 +126,7 @@ TEST(FlatGolden, NumericRegressionWithMissingValues) {
   const Table t = numeric_fixture(600, rng, 0.15);
   const Dataset data(t, "y", {"x1", "x2", "x3"}, Task::kRegression);
   const Forest forest = grow_forest(data, small_forest());
-  expect_bit_identical(forest.predict(data, Scorer::kFlat),
-                       forest.predict(data, Scorer::kWalker));
+  expect_flat_matches_walker(forest, data);
 }
 
 TEST(FlatGolden, MixedCategoricalRegression) {
@@ -123,8 +135,7 @@ TEST(FlatGolden, MixedCategoricalRegression) {
   const Dataset data(t, "y", {"temp", "age", "sku"}, Task::kRegression);
   const Forest forest = grow_forest(data, small_forest());
   EXPECT_TRUE(forest.flat().has_categorical());
-  expect_bit_identical(forest.predict(data, Scorer::kFlat),
-                       forest.predict(data, Scorer::kWalker));
+  expect_flat_matches_walker(forest, data);
 }
 
 TEST(FlatGolden, ClassificationWithCategoricalAndMissing) {
@@ -132,8 +143,7 @@ TEST(FlatGolden, ClassificationWithCategoricalAndMissing) {
   const Table t = mixed_fixture(500, rng, 0.1);
   const Dataset data(t, "label", {"temp", "age", "sku"}, Task::kClassification);
   const Forest forest = grow_forest(data, small_forest(16));
-  expect_bit_identical(forest.predict(data, Scorer::kFlat),
-                       forest.predict(data, Scorer::kWalker));
+  expect_flat_matches_walker(forest, data);
 }
 
 TEST(FlatGolden, UnseenCategoricalLabelsScoreAsMissing) {
@@ -165,8 +175,35 @@ TEST(FlatGolden, UnseenCategoricalLabelsScoreAsMissing) {
   t.add_column("age", Column::continuous(std::move(age)));
   t.add_column("sku", std::move(sku));
   const Dataset scoring(t, fitted.infos());
-  expect_bit_identical(forest.predict(scoring, Scorer::kFlat),
-                       forest.predict(scoring, Scorer::kWalker));
+  expect_flat_matches_walker(forest, scoring);
+}
+
+TEST(FlatGolden, OutOfRangeCategoricalCodesScoreAsMissing) {
+  util::Rng rng(21);
+  const Table train = mixed_fixture(400, rng);
+  const Dataset fitted(train, "y", {"temp", "age", "sku"}, Task::kRegression);
+  const Forest forest = grow_forest(fitted, small_forest());
+
+  // Encoded with its own nine-level dictionary instead of the fitted
+  // five-level one, the scoring set hands the forest sku codes past every
+  // node's go-left set. The walker routes those as missing; so must flat.
+  Column sku(table::ColumnType::kNominal);
+  std::vector<double> temp;
+  std::vector<double> age;
+  for (std::size_t i = 0; i < 300; ++i) {
+    temp.push_back(std::floor(rng.uniform(15.0, 35.0)));
+    age.push_back(static_cast<double>(rng.below(60)));
+    sku.push_nominal("sku_" + std::to_string(rng.below(9)));
+  }
+  Table t;
+  t.add_column("temp", Column::continuous(std::move(temp)));
+  t.add_column("age", Column::continuous(std::move(age)));
+  t.add_column("sku", std::move(sku));
+  t.add_column("y", Column::continuous(std::vector<double>(300, 0.0)));
+  const Dataset scoring(t, "y", {"temp", "age", "sku"}, Task::kRegression);
+  ASSERT_EQ(scoring.infos()[2].cardinality(), 9u);
+  ASSERT_EQ(fitted.infos()[2].cardinality(), 5u);
+  expect_flat_matches_walker(forest, scoring);
 }
 
 TEST(FlatGolden, SingleNodeTrees) {
@@ -180,8 +217,7 @@ TEST(FlatGolden, SingleNodeTrees) {
     ASSERT_EQ(tree.nodes().size(), 1u);
   }
   for (const std::uint32_t d : forest.flat().depths()) EXPECT_EQ(d, 0u);
-  expect_bit_identical(forest.predict(data, Scorer::kFlat),
-                       forest.predict(data, Scorer::kWalker));
+  expect_flat_matches_walker(forest, data);
 }
 
 TEST(FlatGolden, SingleRowPredictMatchesBatch) {
@@ -189,7 +225,7 @@ TEST(FlatGolden, SingleRowPredictMatchesBatch) {
   const Table t = mixed_fixture(300, rng, 0.1);
   const Dataset data(t, "label", {"temp", "age", "sku"}, Task::kClassification);
   const Forest forest = grow_forest(data, small_forest());
-  const std::vector<double> flat = forest.predict(data, Scorer::kFlat);
+  const std::vector<double> flat = forest.predict(data);
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
     EXPECT_EQ(forest.predict(data, r), flat[r]) << "row " << r;
   }
@@ -241,10 +277,11 @@ TEST(FlatGolden, DeterministicAcrossThreadCounts) {
   const Forest forest = grow_forest(data, small_forest());
 
   util::set_num_threads(1);
-  const std::vector<double> serial = forest.predict(data, Scorer::kFlat);
+  const std::vector<double> serial = forest.predict(data);
+  expect_bit_identical(serial, walker_predict(forest, data));
   for (const std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{5}}) {
     util::set_num_threads(threads);
-    expect_bit_identical(forest.predict(data, Scorer::kFlat), serial);
+    expect_bit_identical(forest.predict(data), serial);
   }
   util::set_num_threads(0);
 }

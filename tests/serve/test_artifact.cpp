@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "rainshine/util/parallel.hpp"
@@ -159,60 +162,35 @@ TEST(Artifact, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(Artifact, V2AdoptedFlatLayoutEqualsCompiled) {
-  // A v2 load adopts the serialized flat section instead of recompiling it
-  // from the trees; the adopted layout must be indistinguishable from what
-  // FlatForest::compile would have produced (nodes, roots, depths, pool —
-  // and the derived traversal state, via FlatForest::operator==).
-  util::Rng rng(16);
-  const Table t = reference_table(400, rng);
-  const cart::Dataset data(t, "y", {"x", "dc", "age"}, cart::Task::kRegression);
-  const cart::Forest forest = fit_reference_forest(data);
-  const ModelArtifact back = round_trip(forest, {.name = "v2"});
-  EXPECT_EQ(back.forest->flat(), forest.flat());
-
-  const cart::Dataset scoring(t, forest.trees().front().features());
-  const auto flat = back.forest->predict(scoring, cart::Scorer::kFlat);
-  const auto walker = back.forest->predict(scoring, cart::Scorer::kWalker);
-  ASSERT_EQ(flat.size(), walker.size());
-  for (std::size_t r = 0; r < flat.size(); ++r) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(flat[r]),
-              std::bit_cast<std::uint64_t>(walker[r]))
-        << "row " << r;
-  }
-}
-
-TEST(Artifact, V1CompatWriterRoundTrips) {
-  // save_forest_v1 emits the old trees-only format; loading it must compile
-  // an equivalent flat layout and predict identically to the v2 load.
+TEST(Artifact, SaveWritesFormatVersion1) {
+  // The trees-only layout is the one format: the header says version 1 and
+  // the load compiles the same flat scoring layout the original forest has.
   util::Rng rng(17);
   const Table t = reference_table(350, rng);
   const cart::Dataset data(t, "y", {"x", "dc", "age"}, cart::Task::kRegression);
   const cart::Forest forest = fit_reference_forest(data);
 
-  std::stringstream v1;
-  save_forest_v1(forest, {.name = "compat"}, v1);
-  // Version byte in the header must actually say 1.
-  EXPECT_EQ(v1.str()[4], '\x01');
-  std::stringstream v2;
-  save_forest(forest, {.name = "compat"}, v2);
-  EXPECT_EQ(v2.str()[4], '\x02');
-  // v2 = v1 + flat section; the compat file must be strictly smaller.
-  EXPECT_LT(v1.str().size(), v2.str().size());
+  std::stringstream buf;
+  save_forest(forest, {.name = "one-format"}, buf);
+  EXPECT_EQ(buf.str()[4], '\x01');
 
-  const ModelArtifact from_v1 = load_forest(v1);
-  EXPECT_EQ(*from_v1.forest, forest);
-  EXPECT_EQ(from_v1.forest->flat(), forest.flat());
+  const ModelArtifact back = load_forest(buf);
+  EXPECT_EQ(*back.forest, forest);
+  EXPECT_EQ(back.forest->flat(), forest.flat());
+}
+
+/// tests/data/golden_v1.rsf: a committed artifact this build did not write.
+std::string golden_path() {
+  return std::string(RAINSHINE_TEST_DATA_DIR) + "/golden_v1.rsf";
 }
 
 TEST(Artifact, V1GoldenArtifactStillLoads) {
-  // tests/data/golden_v1.rsf is a committed version-1 artifact (written by
-  // save_forest_v1 from a 4-tree forest over {x numeric, dc nominal}). It
-  // pins backward compatibility: if this load breaks, a format change broke
-  // every artifact already on disk in the fleet. Regenerate only for an
-  // intentional, documented break (see tests/data/README.md).
-  const ModelArtifact art =
-      load_forest_file(std::string(RAINSHINE_TEST_DATA_DIR) + "/golden_v1.rsf");
+  // tests/data/golden_v1.rsf is a committed version-1 artifact (a 4-tree
+  // forest over {x numeric, dc nominal}). It pins backward compatibility:
+  // if this load breaks, a format change broke every artifact already on
+  // disk in the fleet. Regenerate only for an intentional, documented break
+  // (see tests/data/README.md).
+  const ModelArtifact art = load_forest_file(golden_path());
   EXPECT_EQ(art.meta.name, "golden-v1");
   EXPECT_EQ(art.meta.task, cart::Task::kRegression);
   ASSERT_EQ(art.meta.schema.size(), 2u);
@@ -222,8 +200,8 @@ TEST(Artifact, V1GoldenArtifactStillLoads) {
   EXPECT_EQ(art.forest->size(), 4u);
 
   // Score it on fresh data covering both dc levels plus missing cells: the
-  // compiled flat layout must agree with the walker bit-for-bit even for a
-  // forest this build did not grow.
+  // flat batch scorer must agree with the per-row walker bit-for-bit even
+  // for a forest this build did not grow.
   std::vector<double> x;
   Column dc(table::ColumnType::kNominal);
   for (std::size_t i = 0; i < 64; ++i) {
@@ -238,17 +216,31 @@ TEST(Artifact, V1GoldenArtifactStillLoads) {
   t.add_column("x", Column::continuous(std::move(x)));
   t.add_column("dc", std::move(dc));
   const cart::Dataset scoring(t, art.meta.schema);
-  const auto flat = art.forest->predict(scoring, cart::Scorer::kFlat);
-  const auto walker = art.forest->predict(scoring, cart::Scorer::kWalker);
-  EXPECT_EQ(flat, walker);
+  const auto batch = art.forest->predict(scoring);
+  ASSERT_EQ(batch.size(), scoring.num_rows());
+  for (std::size_t r = 0; r < batch.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[r]),
+              std::bit_cast<std::uint64_t>(art.forest->predict(scoring, r)))
+        << "row " << r;
+  }
+}
 
-  // Upgrading the golden file in place: re-saving writes v2 and the adopted
-  // flat layout round-trips.
-  std::stringstream buf;
-  save_forest(*art.forest, art.meta, buf);
-  const ModelArtifact upgraded = load_forest(buf);
-  EXPECT_EQ(*upgraded.forest, *art.forest);
-  EXPECT_EQ(upgraded.forest->flat(), art.forest->flat());
+TEST(Artifact, GoldenV1ResavesByteForByte) {
+  // save_forest writes exactly the format the golden file was written in:
+  // loading it and saving it again with its own metadata reproduces every
+  // byte, so artifacts on disk and artifacts this build writes are one
+  // format, not two.
+  std::ifstream in(golden_path(), std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  std::istringstream golden_in(golden, std::ios::binary);
+  const ModelArtifact art = load_forest(golden_in);
+
+  std::stringstream resaved;
+  save_forest(*art.forest, art.meta, resaved);
+  EXPECT_EQ(resaved.str().size(), golden.size());
+  EXPECT_TRUE(resaved.str() == golden) << "re-saved golden_v1.rsf differs";
 }
 
 TEST(Artifact, MissingFileIsTypedIoError) {

@@ -122,11 +122,8 @@ TEST(ArtifactCorruption, ForgedCrcStillCannotSmuggleStructuralDamage) {
         static_cast<char>((forged >> (8 * i)) & 0xFFu);
   }
   const ArtifactError reason = load_expecting_error(bad);
-  // In a v2 artifact the last payload bytes are the flat section (bitset
-  // pool / node records), so structural damage there reports kMalformedFlat.
   EXPECT_TRUE(reason == ArtifactError::kMalformedForest ||
-              reason == ArtifactError::kMalformedMetadata ||
-              reason == ArtifactError::kMalformedFlat)
+              reason == ArtifactError::kMalformedMetadata)
       << to_string(reason);
 }
 
@@ -140,68 +137,69 @@ TEST(ArtifactCorruption, WrongMagicAndVersion) {
   bad[0] = 'X';
   EXPECT_EQ(load_expecting_error(bad), ArtifactError::kBadMagic);
 
+  // A version-2 file (trees plus a stored flat layout, no longer written or
+  // read) is the stale artifact an operator is most likely to meet.
   std::string skewed = artifact_bytes();
-  skewed[4] = '\x03';  // one past the newest version this build writes
+  skewed[4] = '\x02';
   EXPECT_EQ(load_expecting_error(skewed), ArtifactError::kUnsupportedVersion);
-  // The version-skew message must name the full readable range so an
-  // operator staring at a fleet mid-upgrade knows which side is stale.
+  // The version-skew message must name both the file's version and the one
+  // this build reads, so an operator knows which side is stale.
   std::istringstream in(skewed, std::ios::binary);
   try {
     (void)load_forest(in);
-    FAIL() << "version 3 artifact loaded";
+    FAIL() << "version 2 artifact loaded";
   } catch (const artifact_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
-    EXPECT_NE(what.find("versions 1 through 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("reads version 1"), std::string::npos) << what;
   }
 }
 
-// ---- v2 flat-section damage (forged CRC, targeted fields) ------------------
-
-/// Locates the flat section inside the payload, corrupts one spot via
-/// `mutate`, recomputes the CRC so only structural validation can object.
-/// The flat section starts right after the packed trees; rather than re-parse
-/// the tree block here, callers pass an offset from the payload END, which is
-/// stable because the section's tail (node records + pool) is fixed-width.
-std::string forge_flat_damage(std::size_t offset_from_end,
-                              unsigned char xor_mask) {
-  std::string bad = artifact_bytes();
-  const std::size_t pos = bad.size() - 1 - offset_from_end;
-  EXPECT_GE(pos, kHeaderBytes);
-  bad[pos] = static_cast<char>(static_cast<unsigned char>(bad[pos]) ^ xor_mask);
-  const std::span<const unsigned char> payload(
-      reinterpret_cast<const unsigned char*>(bad.data()) + kHeaderBytes,
-      bad.size() - kHeaderBytes);
-  const std::uint32_t forged = crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    bad[16 + static_cast<std::size_t>(i)] =
-        static_cast<char>((forged >> (8 * i)) & 0xFFu);
-  }
-  return bad;
+/// A regression forest of one hand-built tree over a single numeric feature.
+cart::Forest hand_built_forest(std::vector<cart::Node> nodes) {
+  std::vector<cart::Tree> trees;
+  trees.emplace_back(cart::Task::kRegression,
+                     std::vector<cart::FeatureInfo>{{.name = "x"}},
+                     std::move(nodes), std::vector<std::string>{});
+  return cart::Forest(cart::Task::kRegression, std::move(trees), 0.0);
 }
 
-TEST(ArtifactCorruption, ForgedCrcFlatSectionDamageIsMalformedFlat) {
-  // The artifact has categorical splits ("dc"), so the payload tail is the
-  // bitset pool preceded by the node records. Sweep a window across that
-  // tail flipping a high bit: every byte of the flat section participates in
-  // some validated invariant (child range, feature, bitset range, depth,
-  // flag bytes) or in the pool itself. Pool-word damage is semantic rather
-  // than structural, so a loaded forest is acceptable there; anything that
-  // throws must throw the typed flat reason.
-  std::size_t typed = 0;
-  for (std::size_t back = 0; back < 256; ++back) {
-    const std::string bad = forge_flat_damage(back, 0x80);
-    std::istringstream in(bad, std::ios::binary);
-    try {
-      (void)load_forest(in);
-    } catch (const artifact_error& e) {
-      EXPECT_EQ(e.reason(), ArtifactError::kMalformedFlat)
-          << "offset-from-end " << back << ": " << e.what();
-      ++typed;
-    }
-  }
-  // The sweep must actually have exercised the validators, not just the pool.
-  EXPECT_GT(typed, 0u);
+cart::Node split_node(std::int32_t left, std::int32_t right) {
+  cart::Node node;
+  node.left = left;
+  node.right = right;
+  node.threshold = 0.5;
+  return node;
+}
+
+ArtifactError save_and_load(const cart::Forest& forest) {
+  std::stringstream buf;
+  save_forest(forest, {.name = "dag"}, buf);
+  return load_expecting_error(buf.str());
+}
+
+TEST(ArtifactCorruption, DagShapedTreeIsMalformedForest) {
+  // Child indices that all lie in (id, num_nodes) still need not form a
+  // tree. A chain whose nodes point both children at the next node is a
+  // DAG with 2^depth root-to-leaf paths; compiling it copies the shared
+  // subtree once per path, so ~30 such levels would exhaust memory on load.
+  constexpr std::int32_t kLevels = 4;
+  std::vector<cart::Node> chain;
+  for (std::int32_t i = 0; i < kLevels; ++i) chain.push_back(split_node(i + 1, i + 1));
+  chain.emplace_back();  // the one leaf
+  EXPECT_EQ(save_and_load(hand_built_forest(std::move(chain))),
+            ArtifactError::kMalformedForest);
+
+  // A diamond: two distinct parents share node 3.
+  std::vector<cart::Node> diamond{split_node(1, 2), split_node(3, 4),
+                                  split_node(3, 4), {}, {}};
+  EXPECT_EQ(save_and_load(hand_built_forest(std::move(diamond))),
+            ArtifactError::kMalformedForest);
+
+  // An orphan: node 3 is reachable from no parent.
+  std::vector<cart::Node> orphan{split_node(1, 2), {}, {}, {}};
+  EXPECT_EQ(save_and_load(hand_built_forest(std::move(orphan))),
+            ArtifactError::kMalformedForest);
 }
 
 TEST(ArtifactCorruption, GiantDeclaredSizeDoesNotAllocate) {

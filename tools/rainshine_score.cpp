@@ -3,7 +3,7 @@
 //
 //   rainshine_score --model model.rsf [--input rows.csv | -] [--output out.csv]
 //                   [--request-rows N] [--batch N] [--queue N] [--delay-us N]
-//                   [--stats]
+//                   [--stats] [--metrics metrics.json]
 //
 // Rows arrive from --input (or stdin with `-`/no flag), are schema-checked
 // against the artifact's fitted feature schema, submitted to the service in
@@ -49,7 +49,7 @@ struct Options {
                "usage: %s --model model.rsf [--input rows.csv|-] "
                "[--output out.csv] [--request-rows N]\n"
                "        [--batch N] [--queue N] [--delay-us N] [--stats]\n"
-               "        [--metrics metrics.json] [--scorer flat|walker]\n",
+               "        [--metrics metrics.json]\n",
                argv0);
   std::exit(2);
 }
@@ -80,13 +80,6 @@ Options parse(int argc, char** argv) {
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else if (a == "--stats") opt.stats = true;
     else if (a == "--metrics") opt.metrics = need_value(argc, argv, i);
-    else if (a == "--scorer" || a.starts_with("--scorer=")) {
-      const std::string_view name =
-          a == "--scorer" ? need_value(argc, argv, i) : a.substr(9);
-      const auto scorer = cart::parse_scorer(name);
-      if (!scorer) usage(argv[0]);
-      opt.service.scorer = *scorer;
-    }
     else usage(argv[0]);
   }
   if (opt.model.empty() || opt.request_rows == 0) usage(argv[0]);

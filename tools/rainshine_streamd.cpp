@@ -9,7 +9,6 @@
 //                     [--trees N] [--stride N] [--telemetry-samples N]
 //                     [--host H] [--port P] [--workers N]
 //                     [--batch N] [--queue N] [--delay-us N]
-//                     [--scorer flat|walker]
 //                     [--snapshot store.rss] [--metrics metrics.json]
 //
 // The HTTP server starts as soon as the FIRST retrain publishes a model;
@@ -69,8 +68,7 @@ struct Options {
                "        [--retrain-days N] [--window-days N] [--min-history N]\n"
                "        [--trees N] [--stride N] [--telemetry-samples N]\n"
                "        [--host H] [--port P] [--workers N]\n"
-               "        [--batch N] [--queue N] [--delay-us N] "
-               "[--scorer flat|walker]\n"
+               "        [--batch N] [--queue N] [--delay-us N]\n"
                "        [--snapshot store.rss] [--metrics metrics.json]\n",
                argv0);
   std::exit(2);
@@ -127,13 +125,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--delay-us")
       opt.service.max_batch_delay = std::chrono::microseconds(
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--scorer" || a.starts_with("--scorer=")) {
-      const std::string_view name =
-          a == "--scorer" ? need_value(argc, argv, i) : a.substr(9);
-      const auto scorer = cart::parse_scorer(name);
-      if (!scorer) usage(argv[0]);
-      opt.service.scorer = *scorer;
-    }
     else usage(argv[0]);
   }
   if (opt.fleet != "test" && opt.fleet != "paper") usage(argv[0]);
