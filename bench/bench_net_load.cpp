@@ -2,8 +2,8 @@
 // ephemeral port, then sweeps offered rps with the loadgen client (fixed due
 // times, latency measured from the due time — coordinated-omission honest)
 // and reports p50/p99/p999 and the shed rate at each point. The sweep is the
-// rps_sweep section of BENCH_serve.json; run on the 1-vCPU container it shows
-// where batching absorbs load and where the 503 shedding path takes over.
+// rps_sweep section of BENCH_serve.json; it shows how far the workers keep
+// up and where the 503 shedding path takes over.
 //
 //   RAINSHINE_NET_RPS       max offered rps of the sweep      (default 3200)
 //   RAINSHINE_NET_DURATION  ms per sweep point                (default 2000)
@@ -70,9 +70,8 @@ int main() {
   cfg.max_pending_connections = 4;
   net::HttpServer server(service, nullptr, cfg);
 
-  // 8 rows per request: well under max_batch_rows, so the service's batching
-  // window (max_batch_delay = 2ms) is part of every latency number — the
-  // realistic serving regime, not a batch-saturated one.
+  // 8 rows per request: a rack's latest telemetry, the realistic serving
+  // regime, where per-request overhead rather than scoring sets latency.
   const std::string body = "x\n1.5\n4\n9.25\n12\n18.5\n24\n31\n38.75\n";
 
   std::printf("{\n  \"bench\": \"bench_net_load\",\n  \"rps_sweep\": [\n");

@@ -446,7 +446,8 @@ void BM_MakeScoringDataset(benchmark::State& state) {
 BENCHMARK(BM_MakeScoringDataset)->Unit(benchmark::kMicrosecond);
 
 void BM_ScoreBatch(benchmark::State& state) {
-  // Batch-size sweep: rows per request through the micro-batching service.
+  // Batch-size sweep: rows per request through PredictionService::score,
+  // which adds one dispatcher hop to Forest::predict.
   const cart::Forest& forest = serve_forest();
   serve::ModelMetadata meta;
   meta.name = "bench";

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
                 row.mean, row.stddev, row.count);
   }
   std::printf("\nSave, load & serve: fit a forest, round-trip it through an\n"
-              ".rsf artifact, and score rows through the batched service\n");
+              ".rsf artifact, and score rows through the prediction service\n");
   core::ObservationOptions opt;
   opt.day_stride = 2;
   const table::Table observations = core::rack_day_table(metrics, env, opt);
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   double mean = 0.0;
   for (const double p : predictions) mean += p;
   mean /= static_cast<double>(predictions.size());
-  std::printf("  scored %zu rack-day rows through the batched service "
+  std::printf("  scored %zu rack-day rows through the prediction service "
               "(mean lambda_hw=%.4f)\n",
               predictions.size(), mean);
   std::printf("  %s\n", service.stats().summary().c_str());

@@ -6,10 +6,12 @@
 #   scripts/check.sh --tsan        # additionally a ThreadSanitizer build + ctest
 #   scripts/check.sh --serve-smoke # additionally run the modelc -> score
 #                                  # artifact pipeline end-to-end
-#   scripts/check.sh --net-smoke   # additionally boot rainshine_serve on an
-#                                  # ephemeral port, score over a real socket,
-#                                  # scrape /metrics, SIGTERM-drain, and check
-#                                  # the interrupted-run metrics sidecars
+#   scripts/check.sh --net-smoke   # additionally check that bad --port /
+#                                  # --workers values are usage errors, boot
+#                                  # rainshine_serve on an ephemeral port,
+#                                  # score over a real socket, scrape
+#                                  # /metrics, SIGTERM-drain, and check the
+#                                  # interrupted-run metrics sidecars
 #   scripts/check.sh --stream-smoke# additionally boot rainshine_streamd,
 #                                  # observe >= 1 rolling retrain + hot swap,
 #                                  # scrape /series and /models, SIGTERM-drain,
@@ -138,6 +140,22 @@ if [[ "$net_smoke" == 1 ]]; then
   trap 'rm -rf "${workdir:-}" "${netdir:-}"' EXIT
   ./build/tools/rainshine_modelc --demo --days 60 --trees 8 \
     --output "$netdir/demo.rsf" --export-csv "$netdir/rows.csv" >/dev/null
+
+  # Out-of-range or non-numeric --port/--workers are usage errors (exit 2),
+  # not a silently wrapped port or an internal precondition failure. The
+  # timeout turns a tool that starts serving instead into a failure.
+  for cmd in "rainshine_serve --model $netdir/demo.rsf --port 65537" \
+             "rainshine_serve --model $netdir/demo.rsf --workers x" \
+             "rainshine_streamd --port 65537" "rainshine_streamd --workers x" \
+             "rainshine_loadgen --once --port 65537"; do
+    status=0
+    # shellcheck disable=SC2086  # $cmd is a tool and its flags
+    timeout 10 ./build/tools/$cmd >/dev/null 2>&1 || status=$?
+    if [[ "$status" != 2 ]]; then
+      echo "net smoke FAILED: $cmd exited $status, expected 2" >&2
+      exit 1
+    fi
+  done
 
   ./build/tools/rainshine_serve --model "$netdir/demo.rsf" --port 0 \
     --metrics "$netdir/serve_metrics.json" > "$netdir/serve.out" \

@@ -9,16 +9,14 @@
 //                             (load shedding — the server stays responsive
 //                             past saturation instead of building unbounded
 //                             backlog; shed count in net.connections_shed)
-//   scoring queue full      → 503 + Retry-After from the /score handler
-//                             (the PredictionService's own admission bound)
 //   slow/stalled peer       → SO_RCVTIMEO/SO_SNDTIMEO expire; 408 where a
 //                             reply is possible; worker thread freed either
 //                             way (slow-loris defense)
 //   oversized/malformed     → typed RequestError → 4xx/5xx via status_for,
 //                             parsing bounded by HttpLimits at every step
 //   per-request deadline    → X-Deadline-Ms (capped) or the configured
-//                             default, propagated into the service; expiry
-//                             anywhere along the path is a 504
+//                             default, propagated into the service; a
+//                             request still queued when it expires is a 504
 //
 // Endpoints:
 //   POST /score    CSV rows in, CSV predictions out (schema-checked; 422 on
@@ -81,7 +79,7 @@ struct ServerConfig {
   std::chrono::milliseconds default_deadline{2000};
   /// Hard cap on client-requested deadlines.
   std::chrono::milliseconds max_deadline{30000};
-  /// Retry-After value on every 503 (shed and drain alike).
+  /// Retry-After value on the 503 sent when the connection queue is full.
   int retry_after_seconds = 1;
 };
 
@@ -133,7 +131,6 @@ class HttpServer {
     obs::Counter* responses_4xx = nullptr;
     obs::Counter* responses_5xx = nullptr;
     obs::Counter* parse_errors = nullptr;
-    obs::Counter* score_shed = nullptr;
     obs::Counter* deadline_exceeded = nullptr;
     obs::Counter* io_errors = nullptr;
     obs::Gauge* queue_depth = nullptr;

@@ -86,7 +86,6 @@ HttpServer::HttpServer(std::shared_ptr<serve::PredictionService> service,
   obs_.responses_4xx = &reg.counter("net.responses_4xx");
   obs_.responses_5xx = &reg.counter("net.responses_5xx");
   obs_.parse_errors = &reg.counter("net.parse_errors");
-  obs_.score_shed = &reg.counter("net.score_shed");
   obs_.deadline_exceeded = &reg.counter("net.deadline_exceeded");
   obs_.io_errors = &reg.counter("net.io_errors");
   obs_.queue_depth = &reg.gauge("net.queue_depth");
@@ -315,44 +314,24 @@ HttpResponse HttpServer::handle_score(const HttpRequest& req) {
   }
   if (rows.num_rows() == 0) return text_response(400, "no data rows in body");
 
-  // One snapshot for the whole request: scoring, schema and labels all come
-  // from the same service even if swap_service() lands mid-flight.
+  // One snapshot for the whole request: scoring and labels come from the
+  // same service even if swap_service() lands mid-flight.
   const std::shared_ptr<serve::PredictionService> service = this->service();
   const auto& meta = service->model();
-  const auto issues = serve::schema_issues(rows, meta.schema);
-  if (!issues.empty()) {
-    std::string body = "schema mismatch:";
-    for (const auto& issue : issues) body += "\n  " + issue;
-    return text_response(422, std::move(body));
-  }
-
-  std::optional<std::future<std::vector<double>>> fut;
+  std::future<std::vector<double>> fut;
   try {
-    fut = service->try_submit(rows, deadline);
+    fut = service->submit(rows, deadline);
   } catch (const util::precondition_error& e) {
+    // submit() checks the rows against the model schema and lists every
+    // mismatch.
     return text_response(422, std::string("schema mismatch: ") + e.what());
   }
-  if (!fut) {
-    // Scoring-queue backpressure: same shedding contract as the connection
-    // queue — an honest 503 now beats an unbounded wait.
-    obs_.score_shed->add();
-    HttpResponse resp = text_response(503, "scoring queue full, retry later");
-    resp.headers.push_back(
-        {"Retry-After", std::to_string(config_.retry_after_seconds)});
-    return resp;
-  }
-
   std::vector<double> predictions;
   try {
-    predictions = fut->get();
+    predictions = fut.get();
   } catch (const serve::deadline_exceeded_error&) {
     obs_.deadline_exceeded->add();
     return text_response(504, "deadline exceeded before scoring completed");
-  } catch (const serve::service_stopped_error&) {
-    HttpResponse resp = text_response(503, "service stopping");
-    resp.headers.push_back(
-        {"Retry-After", std::to_string(config_.retry_after_seconds)});
-    return resp;
   } catch (const std::exception& e) {
     return text_response(500, std::string("scoring failed: ") + e.what());
   }

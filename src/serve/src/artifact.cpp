@@ -276,6 +276,9 @@ cart::Node decode_node(Reader& r) {
 ///   * every node but the root is the child of exactly one node, so the
 ///     nodes form a tree, not a DAG whose shared subtrees the compile
 ///     would copy once per path (exponential in depth);
+///   * each child's parent link names the node that links to it and the
+///     root has none, so Tree::path_to's upward walk stays in range and
+///     ends at the root;
 ///   * split features name a schema column;
 ///   * classification leaf predictions are integral class codes.
 void validate_tree(const std::vector<cart::Node>& nodes,
@@ -301,6 +304,10 @@ void validate_tree(const std::vector<cart::Node>& nodes,
           r.fail("node " + std::to_string(child) + " has two parents");
         }
         seen = 1;
+        if (nodes[static_cast<std::size_t>(child)].parent != sid) {
+          r.fail("node " + std::to_string(child) +
+                 " parent link does not name the node that links to it");
+        }
       }
       if (node.feature >= meta.schema.size()) {
         r.fail("node " + std::to_string(id) + " split feature out of schema");
@@ -316,6 +323,7 @@ void validate_tree(const std::vector<cart::Node>& nodes,
   for (std::size_t id = 1; id < nodes.size(); ++id) {
     if (has_parent[id] == 0) r.fail("node " + std::to_string(id) + " has no parent");
   }
+  if (nodes[0].parent != cart::kNoChild) r.fail("root node has a parent link");
 }
 
 void write_bytes(std::ostream& out, const unsigned char* data, std::size_t n) {

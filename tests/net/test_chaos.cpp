@@ -56,6 +56,17 @@ const std::string kScoreRequest =
     std::to_string(kScoreBody.size()) + "\r\nConnection: close\r\n\r\n" +
     kScoreBody;
 
+/// A /score body of kSaturationRows rows (~74 KB): enough CSV to decode that
+/// one worker serves it at well under 200 requests/s.
+constexpr std::size_t kSaturationRows = 8192;
+std::string saturating_body() {
+  std::string body = "x\n";
+  for (std::size_t i = 0; i < kSaturationRows; ++i) {
+    body += std::to_string(static_cast<double>(i % 30) / 10.0) + "\n";
+  }
+  return body;
+}
+
 /// One chaotic client exchange: connect for real, then drive the request
 /// through a FaultySocket so the bytes the server sees are fragmented,
 /// reset, or cut off mid-body according to the seeded plan. Every typed
@@ -125,15 +136,13 @@ TEST(Chaos, FaultInjectedClientStormNeverTakesTheServerDown) {
 }
 
 TEST(Chaos, TwoXSaturationShedsInsteadOfCollapsing) {
-  // Capacity is throttled (1 worker, batched scoring every 5ms); the load
-  // is ~2x what that can absorb. The contract under overload: every tick
-  // resolves (no hang), shed traffic gets honest 503s, and the server
-  // still scores cleanly afterwards.
-  serve::ServiceConfig scfg;
-  scfg.max_batch_rows = 12;
-  scfg.max_queue_rows = 12;  // admission bound trips under the flood
-  scfg.max_batch_delay = std::chrono::microseconds(5000);
-  auto service = std::make_shared<PredictionService>(regression_artifact(), scfg);
+  // Capacity is throttled (1 worker, and bodies whose CSV decode alone
+  // takes several milliseconds); the load is at least 2x what that can
+  // absorb, from more client threads than the worker plus its 4 queue slots
+  // hold. The contract under overload: every tick resolves (no hang), shed
+  // traffic gets honest 503s, and the server still scores cleanly
+  // afterwards.
+  auto service = std::make_shared<PredictionService>(regression_artifact());
   ServerConfig cfg;
   cfg.num_workers = 1;
   cfg.max_pending_connections = 4;
@@ -141,10 +150,10 @@ TEST(Chaos, TwoXSaturationShedsInsteadOfCollapsing) {
 
   LoadGenConfig load;
   load.port = server.port();
-  load.body = kScoreBody;
+  load.body = saturating_body();
   load.rps = 400.0;
   load.duration = milliseconds(1500);
-  load.num_threads = 3;
+  load.num_threads = 8;
   load.max_retries = 2;
   load.base_backoff = milliseconds(2);
   load.max_backoff = milliseconds(20);
@@ -170,9 +179,7 @@ TEST(Chaos, TwoXSaturationShedsInsteadOfCollapsing) {
 }
 
 TEST(Chaos, DrainFiredMidStormCompletesEveryAdmittedRequest) {
-  serve::ServiceConfig scfg;
-  scfg.max_batch_delay = std::chrono::microseconds(2000);
-  auto service = std::make_shared<PredictionService>(regression_artifact(), scfg);
+  auto service = std::make_shared<PredictionService>(regression_artifact());
   ServerConfig cfg;
   cfg.num_workers = 2;
   cfg.read_timeout = milliseconds(300);

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
+#include <chrono>
 #include <thread>
 
 #include "rainshine/net/loadgen.hpp"
@@ -61,10 +61,8 @@ struct ServerFixture {
   std::shared_ptr<PredictionService> service;
   std::unique_ptr<HttpServer> server;
 
-  explicit ServerFixture(serve::ServiceConfig service_cfg = {},
-                         ServerConfig server_cfg = {}) {
-    service = std::make_shared<PredictionService>(regression_artifact(),
-                                                  service_cfg);
+  explicit ServerFixture(ServerConfig server_cfg = {}) {
+    service = std::make_shared<PredictionService>(regression_artifact());
     server = std::make_unique<HttpServer>(service, nullptr, server_cfg);
   }
 
@@ -82,6 +80,46 @@ struct ServerFixture {
 std::size_t count_lines(std::string_view s) {
   return static_cast<std::size_t>(std::count(s.begin(), s.end(), '\n'));
 }
+
+/// Spins until `done()` holds; fails the test after a few seconds instead
+/// of hanging it.
+template <typename Pred>
+void wait_until(Pred done) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up) << "condition never held";
+    std::this_thread::yield();
+  }
+}
+
+/// Holds one server worker busy: a keep-alive connection whose first
+/// request is answered (so a worker owns it), then a /score request sent all
+/// but its last body byte. The worker waits in RequestReader::next() until
+/// finish() sends the rest; finish() then closes the connection, which
+/// frees the worker.
+class HeldScore {
+ public:
+  explicit HeldScore(std::uint16_t port)
+      : sock_(TcpSocket::connect("127.0.0.1", port, milliseconds(2000))) {
+    sock_.set_read_timeout(milliseconds(5000));
+    sock_.write_all("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    EXPECT_EQ(read_response(sock_).status, 200);
+    sock_.write_all("POST /score HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+                    std::to_string(body_.size()) + "\r\n\r\n" +
+                    body_.substr(0, body_.size() - 1));
+  }
+
+  [[nodiscard]] ResponseOutcome finish() {
+    sock_.write_all(body_.substr(body_.size() - 1));
+    ResponseOutcome resp = read_response(sock_);
+    sock_.close();
+    return resp;
+  }
+
+ private:
+  const std::string body_ = csv_rows(2);
+  TcpSocket sock_;
+};
 
 TEST(HttpServer, ScoresCsvOverARealSocket) {
   const ServerFixture fx;
@@ -114,18 +152,15 @@ TEST(HttpServer, ScoreInputErrorsAreTyped) {
 }
 
 TEST(HttpServer, BadDeadlineHeaderIs400ExpiredDeadlineIs504) {
-  serve::ServiceConfig slow;
-  slow.max_batch_rows = 1u << 20;  // never flush on size (queue must match)
-  slow.max_queue_rows = 1u << 20;
-  slow.max_batch_delay = std::chrono::microseconds(50000);
-  const ServerFixture fx(slow);
+  const ServerFixture fx;
 
   const HttpHeader bad{"X-Deadline-Ms", "soon"};
   EXPECT_EQ(fx.post("/score", csv_rows(2), std::span(&bad, 1)).status, 400);
 
-  // 1ms budget against a 50ms batch delay: expires while queued -> 504.
+  // 1ms budget against a body whose CSV decode alone takes far longer
+  // (~600 KB, well under max_body_bytes): expired before scoring -> 504.
   const HttpHeader tight{"X-Deadline-Ms", "1"};
-  const auto resp = fx.post("/score", csv_rows(2), std::span(&tight, 1));
+  const auto resp = fx.post("/score", csv_rows(50000), std::span(&tight, 1));
   EXPECT_EQ(resp.status, 504);
   EXPECT_EQ(fx.service->stats().requests_deadline_exceeded, 1u);
   EXPECT_EQ(fx.service->stats().requests_completed, 0u);
@@ -175,7 +210,7 @@ TEST(HttpServer, KeepAliveServesSequentialRequestsOnOneConnection) {
 TEST(HttpServer, SlowLorisGets408WithinTheReadTimeout) {
   ServerConfig cfg;
   cfg.read_timeout = milliseconds(150);
-  const ServerFixture fx({}, cfg);
+  const ServerFixture fx(cfg);
 
   TcpSocket sock =
       TcpSocket::connect("127.0.0.1", fx.server->port(), milliseconds(2000));
@@ -191,39 +226,38 @@ TEST(HttpServer, SlowLorisGets408WithinTheReadTimeout) {
 }
 
 TEST(HttpServer, OverloadShedsWith503AndRetryAfter) {
-  // One worker, one queue slot: occupy the worker with a slow score, park a
-  // second connection in the queue, and every connection after that must be
-  // shed with an honest 503 + Retry-After.
-  serve::ServiceConfig slow;
-  slow.max_batch_rows = 1u << 20;
-  slow.max_queue_rows = 1u << 20;
-  slow.max_batch_delay = std::chrono::microseconds(300000);
+  // One worker, one queue slot: hold the worker inside a /score request,
+  // park a second connection in the queue, and every connection after that
+  // must be shed with an honest 503 + Retry-After.
   ServerConfig cfg;
   cfg.num_workers = 1;
   cfg.max_pending_connections = 1;
-  const ServerFixture fx(slow, cfg);
-  const std::uint64_t shed_before =
-      obs::registry().snapshot().counter("net.connections_shed");
+  const ServerFixture fx(cfg);
+  const auto before = obs::registry().snapshot();
+  const std::uint64_t accepted_before = before.counter("net.connections_accepted");
+  const std::uint64_t shed_before = before.counter("net.connections_shed");
 
-  auto busy = std::async(std::launch::async, [&] {
-    return fx.post("/score", csv_rows(2));
-  });
-  std::this_thread::sleep_for(milliseconds(60));  // worker now in fut.get()
+  HeldScore busy(fx.server->port());
 
   // Parked in the pending queue (fills it to max_pending_connections).
   TcpSocket parked =
       TcpSocket::connect("127.0.0.1", fx.server->port(), milliseconds(2000));
   parked.set_read_timeout(milliseconds(5000));
   parked.write_all("GET /healthz HTTP/1.1\r\n\r\n");
-  std::this_thread::sleep_for(milliseconds(60));  // acceptor queued it
+  wait_until([&] {
+    const auto snap = obs::registry().snapshot();
+    return snap.counter("net.connections_accepted") >= accepted_before + 2 &&
+           snap.gauge("net.queue_depth") == 1.0;
+  });
 
   const auto shed = fx.get("/healthz");
   ASSERT_TRUE(shed.ok());
   EXPECT_EQ(shed.status, 503);
   EXPECT_EQ(shed.header("Retry-After").value_or(""), "1");
 
-  // The admitted work still completes: slow scorer, then the parked request.
-  EXPECT_EQ(busy.get().status, 200);
+  // The admitted work still completes: the held score, then the parked
+  // request.
+  EXPECT_EQ(busy.finish().status, 200);
   const auto parked_resp = read_response(parked);
   ASSERT_TRUE(parked_resp.ok());
   EXPECT_EQ(parked_resp.status, 200);
@@ -233,45 +267,16 @@ TEST(HttpServer, OverloadShedsWith503AndRetryAfter) {
   EXPECT_GE(shed_after - shed_before, 1u);
 }
 
-TEST(HttpServer, ScoringQueueBackpressureIs503NotAHang) {
-  // Tiny admission queue, slow flush: the second request's rows cannot be
-  // admitted, so the handler sheds instead of blocking a worker. The first
-  // request stays below max_batch_rows so it parks on the batch delay
-  // instead of flushing on size.
-  serve::ServiceConfig tiny;
-  tiny.max_batch_rows = 4;
-  tiny.max_queue_rows = 4;
-  tiny.max_batch_delay = std::chrono::microseconds(200000);
-  const ServerFixture fx(tiny);
-
-  auto first = std::async(std::launch::async, [&] {
-    return fx.post("/score", csv_rows(3));  // parks 3 of 4 queue slots
-  });
-  std::this_thread::sleep_for(milliseconds(60));
-  const auto second = fx.post("/score", csv_rows(4));
-  EXPECT_EQ(second.status, 503);
-  EXPECT_EQ(second.header("Retry-After").value_or(""), "1");
-  EXPECT_EQ(first.get().status, 200);
-}
-
 TEST(HttpServer, GracefulDrainAnswersInFlightThenStopsListening) {
-  serve::ServiceConfig slow;
-  slow.max_batch_rows = 1u << 20;
-  slow.max_queue_rows = 1u << 20;
-  slow.max_batch_delay = std::chrono::microseconds(150000);
-  const ServerFixture fx(slow);
+  const ServerFixture fx;
   const std::uint16_t port = fx.server->port();
 
-  auto inflight = std::async(std::launch::async, [&] {
-    return fx.post("/score", csv_rows(3));
-  });
-  std::this_thread::sleep_for(milliseconds(50));  // request admitted
-
+  HeldScore inflight(port);
   fx.server->request_drain();
   EXPECT_TRUE(fx.server->draining());
 
-  // The admitted request is answered, with Connection: close.
-  const auto resp = inflight.get();
+  // The in-flight request is answered, with Connection: close.
+  const auto resp = inflight.finish();
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.status, 200);
   EXPECT_EQ(resp.header("Connection").value_or(""), "close");
@@ -286,6 +291,7 @@ TEST(HttpServer, GracefulDrainAnswersInFlightThenStopsListening) {
 
   // Every admitted request is accounted for — none abandoned.
   const auto stats = fx.service->stats();
+  EXPECT_EQ(stats.requests_admitted, 1u);
   EXPECT_EQ(stats.requests_admitted,
             stats.requests_completed + stats.requests_failed);
 }
@@ -308,7 +314,7 @@ std::uint64_t json_counter(const std::string& json, const std::string& name) {
 TEST(HttpServer, MetricsScrapeStaysConsistentUnderScoringLoad) {
   ServerConfig cfg;
   cfg.num_workers = 3;
-  const ServerFixture fx({}, cfg);
+  const ServerFixture fx(cfg);
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> clients;

@@ -172,6 +172,19 @@ cart::Node split_node(std::int32_t left, std::int32_t right) {
   return node;
 }
 
+/// Sets each child's parent link to the node that links to it (the last such
+/// node, where a DAG has several), as grown trees have them.
+std::vector<cart::Node> with_parent_links(std::vector<cart::Node> nodes) {
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    for (const std::int32_t child : {nodes[id].left, nodes[id].right}) {
+      if (child != cart::kNoChild) {
+        nodes[static_cast<std::size_t>(child)].parent = static_cast<std::int32_t>(id);
+      }
+    }
+  }
+  return nodes;
+}
+
 ArtifactError save_and_load(const cart::Forest& forest) {
   std::stringstream buf;
   save_forest(forest, {.name = "dag"}, buf);
@@ -187,18 +200,47 @@ TEST(ArtifactCorruption, DagShapedTreeIsMalformedForest) {
   std::vector<cart::Node> chain;
   for (std::int32_t i = 0; i < kLevels; ++i) chain.push_back(split_node(i + 1, i + 1));
   chain.emplace_back();  // the one leaf
-  EXPECT_EQ(save_and_load(hand_built_forest(std::move(chain))),
+  EXPECT_EQ(save_and_load(hand_built_forest(with_parent_links(std::move(chain)))),
             ArtifactError::kMalformedForest);
 
   // A diamond: two distinct parents share node 3.
   std::vector<cart::Node> diamond{split_node(1, 2), split_node(3, 4),
                                   split_node(3, 4), {}, {}};
-  EXPECT_EQ(save_and_load(hand_built_forest(std::move(diamond))),
+  EXPECT_EQ(save_and_load(hand_built_forest(with_parent_links(std::move(diamond)))),
             ArtifactError::kMalformedForest);
 
   // An orphan: node 3 is reachable from no parent.
   std::vector<cart::Node> orphan{split_node(1, 2), {}, {}, {}};
-  EXPECT_EQ(save_and_load(hand_built_forest(std::move(orphan))),
+  EXPECT_EQ(save_and_load(hand_built_forest(with_parent_links(std::move(orphan)))),
+            ArtifactError::kMalformedForest);
+}
+
+TEST(ArtifactCorruption, BrokenParentLinkIsMalformedForest) {
+  // The child links form a tree, but the parent links Tree::path_to walks
+  // up do not: one out of range would be read out of bounds, and one that
+  // points at its own node would never reach the root.
+  const std::vector<cart::Node> tree =
+      with_parent_links({split_node(1, 2), {}, {}});
+  {
+    std::stringstream buf;
+    save_forest(hand_built_forest(tree), {.name = "linked"}, buf);
+    const ModelArtifact loaded = load_forest(buf);
+    EXPECT_EQ(loaded.forest->trees().front().path_to(2), "x >= 0.500");
+  }
+
+  std::vector<cart::Node> far = tree;
+  far[2].parent = 1000000;
+  EXPECT_EQ(save_and_load(hand_built_forest(std::move(far))),
+            ArtifactError::kMalformedForest);
+
+  std::vector<cart::Node> self_loop = tree;
+  self_loop[2].parent = 2;
+  EXPECT_EQ(save_and_load(hand_built_forest(std::move(self_loop))),
+            ArtifactError::kMalformedForest);
+
+  std::vector<cart::Node> root_loop = tree;
+  root_loop[0].parent = 0;
+  EXPECT_EQ(save_and_load(hand_built_forest(std::move(root_loop))),
             ArtifactError::kMalformedForest);
 }
 

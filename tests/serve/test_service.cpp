@@ -1,7 +1,7 @@
-// PredictionService: the batched path must be byte-identical to serial
-// Forest::predict at any thread-pool width (the acceptance criterion for the
-// serving tier), backpressure must bound the queue without deadlocking, and
-// the counters must add up.
+// PredictionService: the queued path must be byte-identical to serial
+// Forest::predict at any thread-pool width and under concurrent submitters
+// (the acceptance criterion for the serving tier), and the counters must add
+// up.
 #include "rainshine/serve/service.hpp"
 
 #include <gtest/gtest.h>
@@ -65,8 +65,9 @@ Table features_only(const Table& t) {
 
 TEST(PredictionService, BatchedOutputByteIdenticalToSerialPredict) {
   const ModelArtifact art = regression_artifact();
-  // Many small ragged requests, deliberately interleaving with batching
-  // boundaries (max_batch_rows = 32 while requests are 1..23 rows).
+  // Many small ragged requests from several submitters, so dispatcher groups
+  // mix requests from different threads in arbitrary order.
+  constexpr std::size_t kSubmitters = 4;
   std::vector<Table> requests;
   for (std::size_t i = 0; i < 24; ++i) {
     requests.push_back(features_only(make_rows(1 + (i * 7) % 23, 100 + i)));
@@ -83,18 +84,25 @@ TEST(PredictionService, BatchedOutputByteIdenticalToSerialPredict) {
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     util::set_num_threads(threads);
-    ServiceConfig cfg;
-    cfg.max_batch_rows = 32;
-    cfg.max_batch_delay = std::chrono::microseconds(500);
-    PredictionService service(art, cfg);
-    std::vector<std::future<std::vector<double>>> futures;
-    futures.reserve(requests.size());
-    for (const Table& rows : requests) futures.push_back(service.submit(rows));
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      const std::vector<double> got = futures[i].get();
-      ASSERT_EQ(got.size(), expected[i].size()) << "request " << i;
-      for (std::size_t r = 0; r < got.size(); ++r) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[r]),
+    PredictionService service(art);
+    // Submitter s sends requests s, s + kSubmitters, ... and only then
+    // collects them, so each thread has several requests queued at once.
+    std::vector<std::vector<double>> got(requests.size());
+    std::vector<std::thread> submitters;
+    for (std::size_t s = 0; s < kSubmitters; ++s) {
+      submitters.emplace_back([&, s] {
+        std::vector<std::pair<std::size_t, std::future<std::vector<double>>>> mine;
+        for (std::size_t i = s; i < requests.size(); i += kSubmitters) {
+          mine.emplace_back(i, service.submit(requests[i]));
+        }
+        for (auto& [i, future] : mine) got[i] = future.get();
+      });
+    }
+    for (auto& t : submitters) t.join();
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_EQ(got[i].size(), expected[i].size()) << "request " << i;
+      for (std::size_t r = 0; r < got[i].size(); ++r) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i][r]),
                   std::bit_cast<std::uint64_t>(expected[i][r]))
             << "request " << i << " row " << r << " at " << threads
             << " threads";
@@ -114,80 +122,12 @@ TEST(PredictionService, ScoreIsSynchronousSubmit) {
   EXPECT_EQ(via_score, direct);
 }
 
-TEST(PredictionService, BackpressureRejectsWhenQueueFullThenRecovers) {
-  const ModelArtifact art = regression_artifact();
-  ServiceConfig cfg;
-  cfg.max_batch_rows = 8;  // 5 pending rows never trip a full flush
-  cfg.max_queue_rows = 8;  // tiny admission bound
-  cfg.max_batch_delay = std::chrono::minutes(10);  // never deadline-flush
-  PredictionService service(art, cfg);
-
-  const Table five = features_only(make_rows(5, 50));
-  auto first = service.try_submit(five);
-  ASSERT_TRUE(first.has_value());  // 5 pending
-  auto second = service.try_submit(five);
-  EXPECT_FALSE(second.has_value());  // 5 + 5 > 8: rejected
-  EXPECT_EQ(service.stats().requests_rejected, 1u);
-  EXPECT_EQ(service.stats().queue_depth_rows, 5u);
-
-  // flush() pushes the stuck batch through; admission reopens.
-  service.flush();
-  EXPECT_EQ(first->get().size(), 5u);
-  auto third = service.try_submit(five);
-  ASSERT_TRUE(third.has_value());
-  service.flush();
-  EXPECT_EQ(third->get().size(), 5u);
-
-  const ServiceStats s = service.stats();
-  EXPECT_EQ(s.requests_admitted, 2u);
-  EXPECT_EQ(s.requests_rejected, 1u);
-  EXPECT_EQ(s.requests_completed, 2u);
-  EXPECT_EQ(s.rows_scored, 10u);
-  EXPECT_EQ(s.queue_depth_rows, 0u);
-  EXPECT_GE(s.peak_queue_rows, 5u);
-}
-
-TEST(PredictionService, OversizedRequestAdmittedWhenQueueEmpty) {
-  const ModelArtifact art = regression_artifact();
-  ServiceConfig cfg;
-  cfg.max_queue_rows = 4;
-  cfg.max_batch_rows = 4;
-  PredictionService service(art, cfg);
-  // 50 rows > max_queue_rows: must be admitted (queue empty), not deadlock.
-  const Table big = features_only(make_rows(50, 60));
-  EXPECT_EQ(service.score(big).size(), 50u);
-}
-
-TEST(PredictionService, BlockingSubmitWaitsForSpaceInsteadOfFailing) {
-  const ModelArtifact art = regression_artifact();
-  ServiceConfig cfg;
-  cfg.max_batch_rows = 6;
-  cfg.max_queue_rows = 6;
-  cfg.max_batch_delay = std::chrono::microseconds(200);
-  PredictionService service(art, cfg);
-  // Far more rows than the queue holds; submit() must block-and-drain, and
-  // every future must fulfill.
-  std::vector<std::future<std::vector<double>>> futures;
-  for (std::size_t i = 0; i < 30; ++i) {
-    futures.push_back(service.submit(features_only(make_rows(4, 70 + i))));
-  }
-  for (auto& f : futures) EXPECT_EQ(f.get().size(), 4u);
-  // Counters publish before futures fulfill, so this snapshot is complete.
-  const ServiceStats s = service.stats();
-  EXPECT_EQ(s.requests_admitted, 30u);
-  EXPECT_EQ(s.requests_completed, 30u);
-  EXPECT_EQ(s.rows_scored, 120u);
-  EXPECT_GT(s.batches_flushed, 0u);
-  EXPECT_EQ(s.full_flushes + s.deadline_flushes, s.batches_flushed);
-}
-
 TEST(PredictionService, SchemaMismatchThrowsInSubmitterNotQueue) {
   const ModelArtifact art = regression_artifact();
   PredictionService service(art);
   Table bad;
   bad.add_column("x", Column::continuous({1.0}));  // missing "dc"
   EXPECT_THROW((void)service.submit(bad), util::precondition_error);
-  EXPECT_THROW((void)service.try_submit(bad), util::precondition_error);
   EXPECT_EQ(service.stats().requests_admitted, 0u);
   // The service still works after the rejected submissions.
   EXPECT_EQ(service.score(features_only(make_rows(3, 8))).size(), 3u);
@@ -246,11 +186,7 @@ TEST(PredictionService, LatencyCountersMoveAndSummaryRenders) {
 
 TEST(PredictionService, ConcurrentSubmittersAllComplete) {
   const ModelArtifact art = regression_artifact();
-  ServiceConfig cfg;
-  cfg.max_batch_rows = 16;
-  cfg.max_queue_rows = 64;
-  cfg.max_batch_delay = std::chrono::microseconds(300);
-  PredictionService service(art, cfg);
+  PredictionService service(art);
   std::vector<std::thread> producers;
   std::atomic<std::uint64_t> rows_back{0};
   for (unsigned p = 0; p < 4; ++p) {
@@ -266,7 +202,6 @@ TEST(PredictionService, ConcurrentSubmittersAllComplete) {
   EXPECT_EQ(s.requests_admitted, 48u);
   EXPECT_EQ(s.requests_completed, 48u);
   EXPECT_EQ(s.rows_scored, rows_back.load());
-  EXPECT_EQ(s.queue_depth_rows, 0u);
 }
 
 }  // namespace

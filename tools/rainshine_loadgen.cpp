@@ -28,6 +28,7 @@
 #include <string>
 
 #include "rainshine/net/loadgen.hpp"
+#include "rainshine/util/strings.hpp"
 
 using namespace rainshine;
 
@@ -68,9 +69,14 @@ Options parse(int argc, char** argv) {
     else if (a == "--target") opt.target = need_value(argc, argv, i);
     else if (a == "--body-file") opt.body_file = need_value(argc, argv, i);
     else if (a == "--host") opt.load.host = need_value(argc, argv, i);
-    else if (a == "--port")
-      opt.load.port = static_cast<std::uint16_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
+    else if (a == "--port") {
+      long long port = 0;
+      if (!util::parse_int(need_value(argc, argv, i), port) || port < 0 ||
+          port > 65535) {
+        usage(argv[0]);
+      }
+      opt.load.port = static_cast<std::uint16_t>(port);
+    }
     else if (a == "--deadline-ms")
       opt.deadline_ms = std::strtoll(need_value(argc, argv, i), nullptr, 10);
     else if (a == "--timeout-ms")

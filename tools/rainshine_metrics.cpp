@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -124,8 +123,8 @@ void run_demo(const Options& opt) {
                            cart::MissingResponse::kDropRows);
   const cart::Forest forest = cart::grow_forest(data, config);
 
-  // Round-trip through the .rsf artifact codec and score through the
-  // batched service, fulfilling every future before the service dies.
+  // Round-trip through the .rsf artifact codec and score the table through
+  // the service as one request.
   serve::ModelMetadata meta;
   meta.name = "metrics-demo";
   meta.config = config;
@@ -134,17 +133,7 @@ void run_demo(const Options& opt) {
   serve::ModelArtifact artifact = serve::load_forest(artifact_bytes);
 
   serve::PredictionService service(std::move(artifact));
-  std::vector<std::future<std::vector<double>>> futures;
-  constexpr std::size_t kChunkRows = 32;
-  const std::size_t score_rows = std::min<std::size_t>(tbl.num_rows(), 512);
-  for (std::size_t begin = 0; begin < score_rows; begin += kChunkRows) {
-    const std::size_t end = std::min(score_rows, begin + kChunkRows);
-    std::vector<std::size_t> idx(end - begin);
-    std::iota(idx.begin(), idx.end(), begin);
-    futures.push_back(service.submit(tbl.take(idx)));
-  }
-  std::size_t scored = 0;
-  for (auto& f : futures) scored += f.get().size();
+  const std::size_t scored = service.score(tbl).size();
 
   std::fprintf(stderr,
                "demo: %zu tickets simulated, %zu imported, %zu rows fitted, "

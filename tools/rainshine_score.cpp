@@ -1,23 +1,20 @@
 // rainshine_score — load an .rsf artifact and score CSV rows through the
-// batched PredictionService.
+// PredictionService.
 //
 //   rainshine_score --model model.rsf [--input rows.csv | -] [--output out.csv]
-//                   [--request-rows N] [--batch N] [--queue N] [--delay-us N]
 //                   [--stats] [--metrics metrics.json]
 //
 // Rows arrive from --input (or stdin with `-`/no flag), are schema-checked
-// against the artifact's fitted feature schema, submitted to the service in
-// --request-rows chunks (micro-batching reassembles them), and written back
-// as the input columns plus a `prediction` column — class labels for
-// classification models, values for regression. --stats prints the model
-// metadata and the service's counters to stderr.
+// against the artifact's fitted feature schema, scored as one request, and
+// written back as the input columns plus a `prediction` column — class
+// labels for classification models, values for regression. --stats prints
+// the model metadata and the service's counters to stderr.
 //
 // Exit codes: 0 scored, 2 usage error, 3 artifact/load error, 4 schema
 // mismatch between the rows and the model.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -38,8 +35,6 @@ struct Options {
   std::string model;
   std::string input = "-";
   std::string output;
-  std::size_t request_rows = 64;
-  serve::ServiceConfig service;
   bool stats = false;
   std::string metrics;  // JSON metrics sidecar destination
 };
@@ -47,8 +42,7 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --model model.rsf [--input rows.csv|-] "
-               "[--output out.csv] [--request-rows N]\n"
-               "        [--batch N] [--queue N] [--delay-us N] [--stats]\n"
+               "[--output out.csv] [--stats]\n"
                "        [--metrics metrics.json]\n",
                argv0);
   std::exit(2);
@@ -66,23 +60,11 @@ Options parse(int argc, char** argv) {
     if (a == "--model") opt.model = need_value(argc, argv, i);
     else if (a == "--input") opt.input = need_value(argc, argv, i);
     else if (a == "--output") opt.output = need_value(argc, argv, i);
-    else if (a == "--request-rows")
-      opt.request_rows = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--batch")
-      opt.service.max_batch_rows = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--queue")
-      opt.service.max_queue_rows = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--delay-us")
-      opt.service.max_batch_delay = std::chrono::microseconds(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else if (a == "--stats") opt.stats = true;
     else if (a == "--metrics") opt.metrics = need_value(argc, argv, i);
     else usage(argv[0]);
   }
-  if (opt.model.empty() || opt.request_rows == 0) usage(argv[0]);
+  if (opt.model.empty()) usage(argv[0]);
   return opt;
 }
 
@@ -121,24 +103,8 @@ int main(int argc, char** argv) {
       return 4;
     }
 
-    serve::PredictionService service(std::move(artifact), opt.service);
-
-    // Stream the table through the service in request-sized chunks; futures
-    // are collected in submission order, so output rows line up with input.
-    std::vector<std::future<std::vector<double>>> futures;
-    for (std::size_t begin = 0; begin < rows.num_rows();
-         begin += opt.request_rows) {
-      const std::size_t end = std::min(rows.num_rows(), begin + opt.request_rows);
-      std::vector<std::size_t> idx(end - begin);
-      std::iota(idx.begin(), idx.end(), begin);
-      futures.push_back(service.submit(rows.take(idx)));
-    }
-    std::vector<double> predictions;
-    predictions.reserve(rows.num_rows());
-    for (auto& f : futures) {
-      const std::vector<double> chunk = f.get();
-      predictions.insert(predictions.end(), chunk.begin(), chunk.end());
-    }
+    serve::PredictionService service(std::move(artifact));
+    std::vector<double> predictions = service.score(rows);
 
     table::Table out = rows;
     if (meta.task == cart::Task::kClassification) {

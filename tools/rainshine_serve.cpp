@@ -4,7 +4,6 @@
 //                   [--host H] [--port P] [--workers N] [--max-pending N]
 //                   [--deadline-ms N] [--max-deadline-ms N]
 //                   [--read-timeout-ms N] [--write-timeout-ms N]
-//                   [--batch N] [--queue N] [--delay-us N]
 //                   [--metrics metrics.json]
 //
 // Endpoints: POST /score (CSV in, CSV out), GET /models, GET /metrics,
@@ -18,8 +17,11 @@
 // request is answered, the --metrics sidecar is flushed, and the process
 // exits 0. Scripted stop is therefore `kill -TERM $pid; wait $pid`.
 //
+// --port takes 0-65535 (0 = ephemeral) and --workers at least 1.
+//
 // Exit codes: 0 clean drain, 2 usage error, 3 model load error.
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +33,7 @@
 #include "rainshine/serve/artifact.hpp"
 #include "rainshine/serve/registry.hpp"
 #include "rainshine/serve/service.hpp"
+#include "rainshine/util/strings.hpp"
 
 using namespace rainshine;
 
@@ -41,7 +44,6 @@ struct Options {
   std::string model_dir;
   std::string metrics;
   net::ServerConfig server;
-  serve::ServiceConfig service;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -50,8 +52,7 @@ struct Options {
                "[--port P]\n"
                "        [--workers N] [--max-pending N] [--deadline-ms N] "
                "[--max-deadline-ms N]\n"
-               "        [--read-timeout-ms N] [--write-timeout-ms N]\n"
-               "        [--batch N] [--queue N] [--delay-us N] "
+               "        [--read-timeout-ms N] [--write-timeout-ms N] "
                "[--metrics metrics.json]\n",
                argv0);
   std::exit(2);
@@ -60,6 +61,15 @@ struct Options {
 const char* need_value(int argc, char** argv, int& i) {
   if (i + 1 >= argc) usage(argv[0]);
   return argv[++i];
+}
+
+/// The whole of `text` as an integer in [lo, hi]; anything else is a usage
+/// error.
+long long int_in_range(const char* argv0, const char* text, long long lo,
+                       long long hi) {
+  long long value = 0;
+  if (!util::parse_int(text, value) || value < lo || value > hi) usage(argv0);
+  return value;
 }
 
 Options parse(int argc, char** argv) {
@@ -72,10 +82,10 @@ Options parse(int argc, char** argv) {
     else if (a == "--host") opt.server.host = need_value(argc, argv, i);
     else if (a == "--port")
       opt.server.port = static_cast<std::uint16_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
+          int_in_range(argv[0], need_value(argc, argv, i), 0, 65535));
     else if (a == "--workers")
       opt.server.num_workers = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
+          int_in_range(argv[0], need_value(argc, argv, i), 1, LLONG_MAX));
     else if (a == "--max-pending")
       opt.server.max_pending_connections = static_cast<std::size_t>(
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
@@ -90,15 +100,6 @@ Options parse(int argc, char** argv) {
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else if (a == "--write-timeout-ms")
       opt.server.write_timeout = std::chrono::milliseconds(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--batch")
-      opt.service.max_batch_rows = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--queue")
-      opt.service.max_queue_rows = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--delay-us")
-      opt.service.max_batch_delay = std::chrono::microseconds(
           std::strtoul(need_value(argc, argv, i), nullptr, 10));
     else usage(argv[0]);
   }
@@ -149,8 +150,7 @@ int main(int argc, char** argv) {
   registry.put(artifact);
 
   try {
-    auto service = std::make_shared<serve::PredictionService>(
-        std::move(artifact), opt.service);
+    auto service = std::make_shared<serve::PredictionService>(std::move(artifact));
     net::HttpServer server(service, &registry, opt.server);
 
     g_server.store(&server, std::memory_order_release);

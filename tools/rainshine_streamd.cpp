@@ -8,7 +8,6 @@
 //                     [--retrain-days N] [--window-days N] [--min-history N]
 //                     [--trees N] [--stride N] [--telemetry-samples N]
 //                     [--host H] [--port P] [--workers N]
-//                     [--batch N] [--queue N] [--delay-us N]
 //                     [--snapshot store.rss] [--metrics metrics.json]
 //
 // The HTTP server starts as soon as the FIRST retrain publishes a model;
@@ -19,10 +18,13 @@
 // SIGTERM/SIGINT starts a graceful drain; then the optional store snapshot
 // and metrics sidecar are flushed and the process exits 0.
 //
+// --port takes 0-65535 (0 = ephemeral) and --workers at least 1.
+//
 // Exit codes: 0 clean, 2 usage error, 3 runtime error, 4 the stream ended
 // before any model could be fit (horizon shorter than --min-history).
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +44,7 @@
 #include "rainshine/stream/retrain.hpp"
 #include "rainshine/stream/source.hpp"
 #include "rainshine/stream/store.hpp"
+#include "rainshine/util/strings.hpp"
 
 using namespace rainshine;
 
@@ -59,7 +62,6 @@ struct Options {
                                 .min_history_days = 15,
                                 .forest = {.num_trees = 16}};
   net::ServerConfig server;
-  serve::ServiceConfig service;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -68,7 +70,6 @@ struct Options {
                "        [--retrain-days N] [--window-days N] [--min-history N]\n"
                "        [--trees N] [--stride N] [--telemetry-samples N]\n"
                "        [--host H] [--port P] [--workers N]\n"
-               "        [--batch N] [--queue N] [--delay-us N]\n"
                "        [--snapshot store.rss] [--metrics metrics.json]\n",
                argv0);
   std::exit(2);
@@ -77,6 +78,15 @@ struct Options {
 const char* need_value(int argc, char** argv, int& i) {
   if (i + 1 >= argc) usage(argv[0]);
   return argv[++i];
+}
+
+/// The whole of `text` as an integer in [lo, hi]; anything else is a usage
+/// error.
+long long int_in_range(const char* argv0, const char* text, long long lo,
+                       long long hi) {
+  long long value = 0;
+  if (!util::parse_int(text, value) || value < lo || value > hi) usage(argv0);
+  return value;
 }
 
 Options parse(int argc, char** argv) {
@@ -112,19 +122,10 @@ Options parse(int argc, char** argv) {
     else if (a == "--host") opt.server.host = need_value(argc, argv, i);
     else if (a == "--port")
       opt.server.port = static_cast<std::uint16_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
+          int_in_range(argv[0], need_value(argc, argv, i), 0, 65535));
     else if (a == "--workers")
       opt.server.num_workers = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--batch")
-      opt.service.max_batch_rows = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--queue")
-      opt.service.max_queue_rows = static_cast<std::size_t>(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
-    else if (a == "--delay-us")
-      opt.service.max_batch_delay = std::chrono::microseconds(
-          std::strtoul(need_value(argc, argv, i), nullptr, 10));
+          int_in_range(argv[0], need_value(argc, argv, i), 1, LLONG_MAX));
     else usage(argv[0]);
   }
   if (opt.fleet != "test" && opt.fleet != "paper") usage(argv[0]);
@@ -213,7 +214,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<net::HttpServer> server;
     auto service_for = [&](const serve::ModelKey& key) {
       const auto artifact = registry.get(key.name, key.version);
-      return std::make_shared<serve::PredictionService>(*artifact, opt.service);
+      return std::make_shared<serve::PredictionService>(*artifact);
     };
 
     util::DayIndex days_streamed = 0;
