@@ -9,8 +9,11 @@
 
 #include <chrono>
 #include <future>
+#include <thread>
 
+#include "rainshine/cart/flat.hpp"
 #include "rainshine/obs/metrics.hpp"
+#include "rainshine/util/parallel.hpp"
 #include "rainshine/util/rng.hpp"
 
 namespace rainshine::serve {
@@ -91,6 +94,52 @@ TEST(ServiceDeadline, ExpiredOnArrivalIsRefusedNotScored) {
   EXPECT_EQ(after.completed - before.completed, 1u);
   // The expired request observed no latency; the healthy one did.
   EXPECT_EQ(after.hist_count - before.hist_count, 1u);
+}
+
+TEST(ServiceDeadline, QueuedRequestExpiringBeforeFlushFailsInsteadOfScoring) {
+  // At two threads a request of several row blocks scores through the shared
+  // pool, which runs one top-level region at a time. Holding the pool from
+  // another thread therefore parks the dispatcher inside the first request's
+  // Forest::predict while the requests behind it wait in the queue.
+  util::set_num_threads(2);
+  PredictionService service(regression_artifact());
+  const Table blocker =
+      features_only(make_rows(2 * cart::FlatForest::kBlockRows, 12));
+  const Table rows = features_only(make_rows(4, 13));
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::future<void> pool_held = entered.get_future();
+  const std::shared_future<void> released = release.get_future().share();
+  std::thread holder([&] {
+    util::parallel_for(2, 1, [&](std::size_t begin, std::size_t) {
+      if (begin == 0) entered.set_value();
+      released.wait();
+    });
+  });
+  pool_held.wait();
+
+  auto first = service.submit(blocker);
+  // Admitted with its deadline ~50ms ahead; it passes while queued.
+  const auto deadline = steady_clock::now() + milliseconds(50);
+  auto doomed = service.submit(rows, deadline);
+  // Queued behind it, no deadline: must still be scored.
+  auto healthy = service.submit(rows);
+  std::this_thread::sleep_until(deadline + milliseconds(1));
+  release.set_value();
+  holder.join();
+  util::clear_thread_override();
+
+  EXPECT_EQ(first.get().size(), blocker.num_rows());
+  EXPECT_THROW(doomed.get(), deadline_exceeded_error);
+  EXPECT_EQ(healthy.get().size(), 4u);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests_admitted, 3u);
+  EXPECT_EQ(stats.requests_deadline_exceeded, 1u);
+  EXPECT_EQ(stats.requests_completed, 2u);
+  // Only the blocker's and the healthy request's rows.
+  EXPECT_EQ(stats.rows_scored, blocker.num_rows() + 4u);
 }
 
 TEST(ServiceDeadline, LatencyCountEqualsCompletedAcrossMixedOutcomes) {
