@@ -5,6 +5,7 @@
 // the generator's other machinery.
 #include <cstdio>
 
+#include "common.hpp"
 #include "rainshine/core/marginals.hpp"
 #include "rainshine/simdc/tickets.hpp"
 #include "rainshine/stats/descriptive.hpp"
@@ -35,8 +36,8 @@ struct Variant {
 
 int main() {
   simdc::FleetSpec spec = simdc::FleetSpec::paper_default();
-  const char* days_env = std::getenv("RAINSHINE_DAYS");
-  spec.num_days = days_env ? std::atoi(days_env) : 365;
+  spec.num_days =
+      static_cast<util::DayIndex>(bench::env_int("RAINSHINE_DAYS", 365, 1, 100000));
   const simdc::Fleet fleet(spec);
   const simdc::EnvironmentModel env(fleet, spec.seed);
 

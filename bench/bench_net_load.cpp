@@ -8,10 +8,10 @@
 //   RAINSHINE_NET_RPS       max offered rps of the sweep      (default 3200)
 //   RAINSHINE_NET_DURATION  ms per sweep point                (default 2000)
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "common.hpp"
 #include "rainshine/cart/forest.hpp"
 #include "rainshine/net/loadgen.hpp"
 #include "rainshine/net/server.hpp"
@@ -47,18 +47,13 @@ serve::ModelArtifact regression_artifact() {
       std::move(meta), std::make_shared<const cart::Forest>(std::move(forest))};
 }
 
-long long env_or(const char* name, long long fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  return std::atoll(raw);
-}
-
 }  // namespace
 
 int main() {
-  const auto max_rps = static_cast<double>(env_or("RAINSHINE_NET_RPS", 3200));
-  const auto duration =
-      std::chrono::milliseconds(env_or("RAINSHINE_NET_DURATION", 2000));
+  const auto max_rps =
+      static_cast<double>(bench::env_int("RAINSHINE_NET_RPS", 3200, 1, 1'000'000));
+  const auto duration = std::chrono::milliseconds(
+      bench::env_int("RAINSHINE_NET_DURATION", 2000, 1, 3'600'000));
 
   auto service = std::make_shared<serve::PredictionService>(regression_artifact());
   net::ServerConfig cfg;

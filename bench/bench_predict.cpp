@@ -13,6 +13,7 @@
 // lead-time — and exits nonzero otherwise, so CI catches a regression in
 // the model, the pipeline, or the planted signal.
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -29,11 +30,6 @@ using Clock = std::chrono::steady_clock;
 
 [[nodiscard]] double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-[[nodiscard]] long env_long(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atol(v) : fallback;
 }
 
 void print_at(const char* name, const predict::RankedEval& eval) {
@@ -53,10 +49,12 @@ void print_at(const char* name, const predict::RankedEval& eval) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const int days = static_cast<int>(env_long("RAINSHINE_DAYS", smoke ? 240 : 360));
-  const auto seed = static_cast<std::uint64_t>(env_long("RAINSHINE_SEED", 7));
-  const auto trees =
-      static_cast<std::size_t>(env_long("RAINSHINE_TREES", smoke ? 16 : 48));
+  const int days = static_cast<int>(
+      bench::env_int("RAINSHINE_DAYS", smoke ? 240 : 360, 1, 100000));
+  const auto seed =
+      static_cast<std::uint64_t>(bench::env_int("RAINSHINE_SEED", 7, 0, LLONG_MAX));
+  const auto trees = static_cast<std::size_t>(
+      bench::env_int("RAINSHINE_TREES", smoke ? 16 : 48, 1, 100000));
 
   simdc::FleetSpec spec = simdc::FleetSpec::test_default();
   spec.num_days = days;

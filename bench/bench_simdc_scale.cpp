@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
@@ -34,11 +33,6 @@
 using namespace rainshine;
 
 namespace {
-
-long env_long(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && *v != '\0') ? std::strtol(v, nullptr, 10) : fallback;
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -131,13 +125,14 @@ double paper_servers() {
 }
 
 int run_smoke() {
-  const auto days =
-      static_cast<util::DayIndex>(env_long("RAINSHINE_SCALE_DAYS", 10));
-  const long bound_mb = env_long("RAINSHINE_RSS_BOUND_MB", 32);
+  const auto days = static_cast<util::DayIndex>(
+      bench::env_int("RAINSHINE_SCALE_DAYS", 10, 1, 100000));
+  const long long bound_mb =
+      bench::env_int("RAINSHINE_RSS_BOUND_MB", 32, 1, 1'000'000);
   const double factor = 100'000.0 / paper_servers();
   const PointResult r = run_point(scaled_spec(factor, days));
   std::printf("scale smoke: %zu servers / %zu racks, %d days -> %zu tickets, "
-              "peak RSS %.1f MiB (bound %ld MiB), peak resident %zu tickets\n",
+              "peak RSS %.1f MiB (bound %lld MiB), peak resident %zu tickets\n",
               r.servers, r.racks, static_cast<int>(days),
               r.stats.total_tickets,
               static_cast<double>(r.rss_bytes) / (1024.0 * 1024.0), bound_mb,
@@ -151,7 +146,7 @@ int run_smoke() {
     return 1;
   }
   if (r.rss_bytes > static_cast<std::size_t>(bound_mb) * 1024 * 1024) {
-    std::fprintf(stderr, "scale smoke FAILED: peak RSS %zu bytes > %ld MiB\n",
+    std::fprintf(stderr, "scale smoke FAILED: peak RSS %zu bytes > %lld MiB\n",
                  r.rss_bytes, bound_mb);
     return 1;
   }
@@ -163,8 +158,8 @@ int run_smoke() {
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return run_smoke();
 
-  const auto days =
-      static_cast<util::DayIndex>(env_long("RAINSHINE_SCALE_DAYS", 32));
+  const auto days = static_cast<util::DayIndex>(
+      bench::env_int("RAINSHINE_SCALE_DAYS", 32, 1, 100000));
   const double base = paper_servers();
 
   std::printf("{\n  \"bench\": \"simdc_scale\", \"days_per_point\": %d, "
@@ -192,8 +187,9 @@ int main(int argc, char** argv) {
   // The headline claim as a checkable predicate: the 1M point's peak RSS
   // stays under a bound that the materialized design's full-window footprint
   // (~400 MB of tickets alone, see materialized_913d_bytes_est) exceeds.
-  const long bound_mb = env_long("RAINSHINE_RSS_BOUND_MB", 256);
-  std::printf("  \"rss_bound_mb\": %ld, \"rss_bound_holds\": %s,\n", bound_mb,
+  const long long bound_mb =
+      bench::env_int("RAINSHINE_RSS_BOUND_MB", 256, 1, 1'000'000);
+  std::printf("  \"rss_bound_mb\": %lld, \"rss_bound_holds\": %s,\n", bound_mb,
               last_rss <= static_cast<std::size_t>(bound_mb) * 1024 * 1024
                   ? "true"
                   : "false");
@@ -204,7 +200,7 @@ int main(int argc, char** argv) {
   // already bounded.
   {
     const auto demo_days = static_cast<util::DayIndex>(
-        env_long("RAINSHINE_SCALE_DEMO_DAYS", 3));
+        bench::env_int("RAINSHINE_SCALE_DEMO_DAYS", 3, 2, 100000));
     simdc::FleetSpec spec = last_spec;
     spec.num_days = demo_days;
     const PointResult organic = run_point(spec);

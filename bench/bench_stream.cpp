@@ -5,10 +5,11 @@
 // retrain-to-publish path). BENCH_stream.json records the committed
 // baseline; RAINSHINE_DAYS scales the streamed horizon.
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common.hpp"
 #include "rainshine/serve/registry.hpp"
 #include "rainshine/stream/retrain.hpp"
 #include "rainshine/stream/source.hpp"
@@ -23,16 +24,12 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-long env_long(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  return v ? std::strtol(v, nullptr, 10) : fallback;
-}
-
 }  // namespace
 
 int main() {
   simdc::FleetSpec spec = simdc::FleetSpec::test_default();
-  spec.num_days = static_cast<util::DayIndex>(env_long("RAINSHINE_DAYS", 120));
+  spec.num_days =
+      static_cast<util::DayIndex>(bench::env_int("RAINSHINE_DAYS", 120, 1, 100000));
   const simdc::Fleet fleet(spec);
   const simdc::EnvironmentModel env(fleet, spec.seed);
   const simdc::HazardModel hazard(fleet, env);
@@ -65,13 +62,14 @@ int main() {
     stream::SeriesStore store;
     const stream::SeriesId id =
         store.add_series({"bench", {{1, 24 * 60}, {24, 120}}});
-    const long pushes = env_long("RAINSHINE_STORE_PUSHES", 5'000'000);
+    const long long pushes =
+        bench::env_int("RAINSHINE_STORE_PUSHES", 5'000'000, 1, LLONG_MAX);
     const auto t0 = std::chrono::steady_clock::now();
-    for (long i = 0; i < pushes; ++i) {
+    for (long long i = 0; i < pushes; ++i) {
       store.push(id, i / 4, static_cast<double>(i & 1023));
     }
     const double s = seconds_since(t0);
-    std::printf("  \"ring_store\": {\"pushes\": %ld, \"tiers\": 2, "
+    std::printf("  \"ring_store\": {\"pushes\": %lld, \"tiers\": 2, "
                 "\"seconds\": %.3f, \"pushes_per_s\": %.0f, "
                 "\"memory_bytes\": %zu},\n",
                 pushes, s, static_cast<double>(pushes) / s,

@@ -1,5 +1,7 @@
 #include "common.hpp"
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -7,18 +9,22 @@
 #include "rainshine/obs/export.hpp"
 #include "rainshine/obs/metrics.hpp"
 #include "rainshine/stats/descriptive.hpp"
+#include "rainshine/util/strings.hpp"
 
 namespace rainshine::bench {
 
-namespace {
-
-long env_or(const char* name, long fallback) {
+long long env_int(const char* name, long long fallback, long long lo,
+                  long long hi) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::atol(v);
+  long long value = 0;
+  if (!util::parse_int(v, value) || value < lo || value > hi) {
+    std::fprintf(stderr, "%s: %s: want an integer in %lld..%lld, got '%s'\n",
+                 program_invocation_short_name, name, lo, hi, v);
+    std::exit(2);
+  }
+  return value;
 }
-
-}  // namespace
 
 std::size_t peak_rss_bytes() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
@@ -50,9 +56,12 @@ const Context& context() {
   static const Context ctx = [] {
     Context c;
     c.spec = simdc::FleetSpec::paper_default();
-    c.spec.num_days = static_cast<util::DayIndex>(env_or("RAINSHINE_DAYS", 913));
-    c.spec.seed = static_cast<std::uint64_t>(env_or("RAINSHINE_SEED", 2017));
-    c.day_stride = static_cast<std::int32_t>(env_or("RAINSHINE_STRIDE", 2));
+    c.spec.num_days =
+        static_cast<util::DayIndex>(env_int("RAINSHINE_DAYS", 913, 1, 100000));
+    c.spec.seed = static_cast<std::uint64_t>(
+        env_int("RAINSHINE_SEED", 2017, 0, LLONG_MAX));
+    c.day_stride =
+        static_cast<std::int32_t>(env_int("RAINSHINE_STRIDE", 2, 1, 100000));
     c.fleet = std::make_unique<simdc::Fleet>(c.spec);
     c.env = std::make_unique<simdc::EnvironmentModel>(*c.fleet, c.spec.seed);
     c.hazard = std::make_unique<simdc::HazardModel>(*c.fleet, *c.env);

@@ -24,6 +24,13 @@ struct Context {
   std::int32_t day_stride = 1;  ///< suggested observation stride for analyses
 };
 
+/// The integer in environment variable `name`; `fallback` when it is unset
+/// or empty. The whole value must parse (util::parse_int) and lie in
+/// [lo, hi]; anything else prints "BENCH: NAME: want an integer in LO..HI,
+/// got 'TEXT'" and exits 2.
+[[nodiscard]] long long env_int(const char* name, long long fallback,
+                                long long lo, long long hi);
+
 /// Builds (once per process) the paper-scale fleet, simulates the window and
 /// indexes metrics. Honors:
 ///   RAINSHINE_DAYS   — window length (default 913)

@@ -7,8 +7,8 @@
 //
 // Run:  ./build/examples/climate_advisor [days]
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "rainshine/core/environment_analysis.hpp"
 #include "rainshine/core/metrics.hpp"
 #include "rainshine/simdc/tickets.hpp"
@@ -18,7 +18,7 @@ using namespace rainshine;
 
 int main(int argc, char** argv) {
   simdc::FleetSpec spec = simdc::FleetSpec::paper_default();
-  spec.num_days = argc > 1 ? std::atoi(argv[1]) : 365;
+  spec.num_days = examples::int_arg(argc, argv, 1, "days", 1, 100000, 365);
   const simdc::Fleet fleet(spec);
   const simdc::EnvironmentModel env(fleet, spec.seed);
   const simdc::HazardModel hazard(fleet, env);

@@ -5,9 +5,9 @@
 //
 // Run:  ./build/examples/quickstart [days]
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
+#include "args.hpp"
 #include "rainshine/cart/forest.hpp"
 #include "rainshine/core/marginals.hpp"
 #include "rainshine/core/observations.hpp"
@@ -18,7 +18,8 @@ using namespace rainshine;
 
 int main(int argc, char** argv) {
   simdc::FleetSpec spec = simdc::FleetSpec::paper_default();
-  if (argc > 1) spec.num_days = std::atoi(argv[1]);
+  spec.num_days = examples::int_arg(argc, argv, 1, "days", 1, 100000,
+                                    spec.num_days);
 
   std::printf("=== rainshine quickstart ===\n\n");
   std::printf("Table I - DC properties\n");

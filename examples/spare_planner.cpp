@@ -9,8 +9,8 @@
 //
 // Run:  ./build/examples/spare_planner [workload 1-7] [days]
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "rainshine/core/metrics.hpp"
 #include "rainshine/core/provisioning.hpp"
 #include "rainshine/simdc/tickets.hpp"
@@ -18,11 +18,11 @@
 using namespace rainshine;
 
 int main(int argc, char** argv) {
-  const int wl_num = argc > 1 ? std::atoi(argv[1]) : 6;
+  const int wl_num = examples::int_arg(argc, argv, 1, "workload", 1, 7, 6);
   const auto workload = static_cast<simdc::WorkloadId>(wl_num - 1);
 
   simdc::FleetSpec spec = simdc::FleetSpec::paper_default();
-  spec.num_days = argc > 2 ? std::atoi(argv[2]) : 365;
+  spec.num_days = examples::int_arg(argc, argv, 2, "days", 1, 100000, 365);
   const simdc::Fleet fleet(spec);
   const simdc::EnvironmentModel env(fleet, spec.seed);
   const simdc::HazardModel hazard(fleet, env);

@@ -8,8 +8,8 @@
 //
 // Run:  ./build/examples/vendor_scorecard [days]
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "rainshine/core/metrics.hpp"
 #include "rainshine/core/sku_analysis.hpp"
 #include "rainshine/util/strings.hpp"
@@ -19,7 +19,7 @@ using namespace rainshine;
 
 int main(int argc, char** argv) {
   simdc::FleetSpec spec = simdc::FleetSpec::paper_default();
-  spec.num_days = argc > 1 ? std::atoi(argv[1]) : 365;
+  spec.num_days = examples::int_arg(argc, argv, 1, "days", 1, 100000, 365);
   const simdc::Fleet fleet(spec);
   const simdc::EnvironmentModel env(fleet, spec.seed);
   const simdc::HazardModel hazard(fleet, env);

@@ -7,12 +7,14 @@
 #   scripts/check.sh --serve-smoke # additionally run the modelc -> score
 #                                  # artifact pipeline end-to-end
 #   scripts/check.sh --net-smoke   # additionally check that malformed
-#                                  # command lines are usage errors and that
-#                                  # every tool's --help lists its flags, boot
-#                                  # rainshine_serve on an ephemeral port,
-#                                  # score over a real socket, scrape
-#                                  # /metrics, SIGTERM-drain, and check the
-#                                  # interrupted-run metrics sidecars
+#                                  # command lines, bench variables and
+#                                  # example arguments are usage errors and
+#                                  # that every tool's --help lists its
+#                                  # flags, boot rainshine_serve on an
+#                                  # ephemeral port, score over a real
+#                                  # socket, scrape /metrics, SIGTERM-drain,
+#                                  # and check the interrupted-run metrics
+#                                  # sidecars
 #   scripts/check.sh --stream-smoke# additionally boot rainshine_streamd,
 #                                  # observe >= 1 rolling retrain + hot swap,
 #                                  # scrape /series and /models, SIGTERM-drain,
@@ -25,8 +27,9 @@
 #                                  # early-warning study on a tiny fleet
 #                                  # (asserts it beats the naive baseline),
 #                                  # validate BENCH_predict.json, and check
-#                                  # one rainshine_whatif sweep is
-#                                  # byte-identical across RAINSHINE_THREADS
+#                                  # one rainshine_whatif sweep and one
+#                                  # full_report are byte-identical across
+#                                  # RAINSHINE_THREADS
 #
 # Flags combine (e.g. `--sanitize --tsan` runs all three suites). Extra
 # arguments after the flags are forwarded to ctest (e.g. -R Ingest).
@@ -145,14 +148,17 @@ if [[ "$net_smoke" == 1 ]]; then
   # A malformed command line is a usage error: exit 2 with the offending
   # flag named on stderr — not a wrapped number, a value read up to the
   # first bad character, an internal precondition failure, or a run on the
-  # default. The timeout turns a tool that starts working instead into a
-  # failure. Each line: the flag stderr must name, then the command.
+  # default. The same holds for a bench's environment variable and an
+  # example's argument. The timeout turns a binary that starts working
+  # instead into a failure. Each line: the flag, variable or argument
+  # stderr must name, then the command (variables first, as for env).
   printf 'x\n1\n' > "$netdir/body.csv"
+  binaries="$PWD/build/tools:$PWD/build/bench:$PWD/build/examples"
   while read -r flag cmd; do
     status=0
-    # shellcheck disable=SC2086  # $cmd is a tool and its flags
-    timeout 10 ./build/tools/$cmd </dev/null >/dev/null 2> "$netdir/usage.err" ||
-      status=$?
+    # shellcheck disable=SC2086  # $cmd is a command and its arguments
+    PATH="$binaries:$PATH" timeout 10 env $cmd </dev/null >/dev/null \
+      2> "$netdir/usage.err" || status=$?
     if [[ "$status" != 2 ]] || ! grep -qF -- ": $flag: " "$netdir/usage.err"; then
       echo "net smoke FAILED: $cmd exited $status, expected 2 naming $flag" >&2
       head -1 "$netdir/usage.err" >&2
@@ -169,9 +175,13 @@ if [[ "$net_smoke" == 1 ]]; then
 --sample-fraction rainshine_modelc --demo --output $netdir/m.rsf --sample-fraction x
 --days rainshine_whatif --days 40x
 --fleet rainshine_whatif --fleet bogus
+--sort rainshine_whatif --sort bogus
 --days rainshine_metrics --demo --days 1e3
 --days rainshine_streamd --days abc
 --rps rainshine_loadgen --port 1 --body-file $netdir/body.csv --rps abc
+RAINSHINE_DAYS RAINSHINE_DAYS=40x bench_table2_ticket_mix
+RAINSHINE_DAYS RAINSHINE_DAYS=abc bench_table2_ticket_mix
+days full_report 40x $netdir/report.md
 CASES
 
   # --help exits 0 and its stdout lists every flag the tool's source
@@ -188,7 +198,8 @@ CASES
       fi
     done
   done
-  echo "net smoke: malformed command lines exit 2, --help lists every flag"
+  echo "net smoke: malformed command lines, variables and arguments exit 2," \
+    "--help lists every flag"
 
   ./build/tools/rainshine_serve --model "$netdir/demo.rsf" --port 0 \
     --metrics "$netdir/serve_metrics.json" > "$netdir/serve.out" \
@@ -373,6 +384,29 @@ if [[ "$predict_smoke" == 1 ]]; then
     exit 1
   fi
   echo "predict smoke: whatif sweep byte-identical across thread counts"
+
+  # full_report's early-warning section runs the same pipeline: the whole
+  # report must be byte-identical across thread counts, and the section
+  # must rank the model against the baseline.
+  for threads in 1 2; do
+    RAINSHINE_THREADS=$threads ./build/examples/full_report 240 \
+      "$predictdir/report_t$threads.md" >/dev/null
+  done
+  if ! cmp -s "$predictdir/report_t1.md" "$predictdir/report_t2.md"; then
+    echo "predict smoke FAILED: full_report differs across RAINSHINE_THREADS" >&2
+    diff "$predictdir/report_t1.md" "$predictdir/report_t2.md" | head >&2
+    exit 1
+  fi
+  warning="$(sed -n '/^## 30-day early warning/,/^## /p' "$predictdir/report_t1.md")"
+  if ! grep -q '^| model | ' <<< "$warning" ||
+     ! grep -q '^| baseline | ' <<< "$warning"; then
+    echo "predict smoke FAILED: full_report lacks the early-warning model" \
+      "and baseline rows" >&2
+    echo "$warning" >&2
+    exit 1
+  fi
+  echo "predict smoke: full_report byte-identical across thread counts," \
+    "early warning ranked against the baseline"
 fi
 
 echo "OK"

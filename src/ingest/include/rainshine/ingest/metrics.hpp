@@ -53,10 +53,4 @@ inline void publish_report_delta(const IngestReport& before,
   }
 }
 
-/// Publishes a whole report (delta from empty): for reports that cover
-/// exactly one pass.
-inline void publish_report(const IngestReport& report) {
-  publish_report_delta(IngestReport{}, report);
-}
-
 }  // namespace rainshine::ingest

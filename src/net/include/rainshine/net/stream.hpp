@@ -112,9 +112,6 @@ class MemoryStream final : public Stream {
 
   [[nodiscard]] const std::string& written() const noexcept { return written_; }
   [[nodiscard]] bool aborted() const noexcept { return aborted_; }
-  [[nodiscard]] std::size_t unread() const noexcept {
-    return input_.size() - pos_;
-  }
 
  private:
   std::string input_;

@@ -100,8 +100,6 @@ class FeatureBuilder final : public simdc::TicketSink {
   }
   [[nodiscard]] core::FailureMetrics take_metrics() { return std::move(metrics_); }
 
-  /// Feature column names, in table order (response not included).
-  [[nodiscard]] static const std::vector<std::string>& feature_names();
   static constexpr const char* kResponse = "fail";
 
  private:

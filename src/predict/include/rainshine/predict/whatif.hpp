@@ -96,9 +96,6 @@ enum class SortKey : std::uint8_t {
   kSla,
 };
 
-/// Parses "tco", "offset", "spares", "repair", "cooling", "sla".
-[[nodiscard]] bool parse_sort_key(std::string_view text, SortKey& out) noexcept;
-
 /// Stable-sorts rows by `key` (ascending unless `descending`); ties keep
 /// sweep order, so the result is deterministic.
 void sort_rows(WhatifStudy& study, SortKey key, bool descending = false);

@@ -271,29 +271,6 @@ void FeatureBuilder::absorb_events(std::span<const simdc::Ticket> tickets) {
   }
 }
 
-const std::vector<std::string>& FeatureBuilder::feature_names() {
-  // Names follow the DEFAULT windows (7/30/90); the builder emits the same
-  // column order for any configured windows, with suffixes matching the
-  // configured values.
-  static const std::vector<std::string> names = [] {
-    const FeatureConfig def;
-    std::vector<std::string> n = {"dc", "sku", "workload", "age_months",
-                                  "power_kw"};
-    const std::string s0 = day_suffix(def.windows_days[0]);
-    const std::string s1 = day_suffix(def.windows_days[1]);
-    const std::string s2 = day_suffix(def.windows_days[2]);
-    for (const auto& name :
-         {"srv_all_" + s0, "srv_all_" + s1, "srv_all_" + s2, "srv_hw_" + s1,
-          "rack_hw_" + s0, "rack_hw_" + s1, "rack_hw_" + s2, "rack_all_" + s1,
-          "rack_disk_" + s1, "rack_mem_" + s1, "hot_hours_" + s0,
-          "hot_hours_" + s1, "hot_hours_" + s2, "dry_hours_" + s1,
-          "temp_mean_" + s1, "rh_mean_" + s1})
-      n.push_back(name);
-    return n;
-  }();
-  return names;
-}
-
 FeatureSet FeatureBuilder::finish() {
   util::require(!finished_, "FeatureBuilder: finish called twice");
   finished_ = true;

@@ -81,17 +81,6 @@ std::string_view to_string(Approach a) noexcept {
   return "?";
 }
 
-bool parse_sort_key(std::string_view text, SortKey& out) noexcept {
-  if (text == "tco") out = SortKey::kTco;
-  else if (text == "offset") out = SortKey::kOffset;
-  else if (text == "spares") out = SortKey::kSpares;
-  else if (text == "repair") out = SortKey::kRepair;
-  else if (text == "cooling") out = SortKey::kCooling;
-  else if (text == "sla") out = SortKey::kSla;
-  else return false;
-  return true;
-}
-
 WhatifStudy whatif_sweep(const core::FailureMetrics& metrics,
                          const simdc::EnvironmentModel& env,
                          const simdc::HazardConfig& hazard_config,

@@ -1,7 +1,7 @@
 // Columnar (SoA) hot-path view of the fleet for the streaming ticket engine.
 //
-// simulate_rack_day evaluates the full multi-factor hazard through the
-// object graph — Rack -> SkuSpec, HazardModel table lookups, and four
+// HazardModel evaluates the full multi-factor hazard through the object
+// graph — Rack -> SkuSpec, its own table lookups, and four
 // EnvironmentModel::at() calls per (rack, day) cell, each re-deriving the
 // site's outdoor weather and the rack's static airflow offsets. That costs
 // hundreds of hash/trig/pow evaluations per cell and reads a dozen scattered
@@ -74,7 +74,8 @@ class FleetTable {
   [[nodiscard]] Conditions daily_mean(std::size_t r, const DayTerms& terms) const;
 
   /// Every Poisson intensity simulate_cell consumes for cell (r, day),
-  /// bit-identical to the HazardModel evaluations simulate_rack_day makes.
+  /// bit-identical to HazardModel's rack_day_rate, burst_rate and
+  /// disk_batch_rate (and their fraction ranges) for that rack and day.
   void cell_rates(std::size_t r, util::DayIndex day, const DayTerms& terms,
                   CellRates& out) const;
 

@@ -40,7 +40,6 @@
 namespace rainshine::simdc {
 
 void write_ticket_csv(const TicketLog& log, std::ostream& out);
-void write_ticket_csv_file(const TicketLog& log, const std::string& path);
 
 /// Import controls.
 struct TicketReadOptions {
@@ -63,7 +62,5 @@ struct TicketReadOptions {
                                              const Fleet& fleet,
                                              const TicketReadOptions& options,
                                              ingest::IngestReport* report = nullptr);
-[[nodiscard]] TicketLog read_ticket_csv_file(const std::string& path,
-                                             const Fleet& fleet);
 
 }  // namespace rainshine::simdc

@@ -143,8 +143,8 @@ struct StreamStats {
 [[nodiscard]] util::Rng ticket_stream_root(std::uint64_t seed) noexcept;
 
 /// The per-cell slice of the fleet the ticket generator needs: what
-/// make_ticket and the correlated-event loops address. Assembled either from
-/// a Rack (reference path) or from FleetTable columns (hot path).
+/// make_ticket and the correlated-event loops address, assembled from
+/// FleetTable columns.
 struct CellGeom {
   std::int32_t rack_id = 0;
   int servers = 0;
@@ -166,25 +166,15 @@ struct CellRates {
 };
 
 /// Simulates one (rack, day) cell given its rates: the single generation
-/// code path shared by the reference wrapper (simulate_rack_day) and the
-/// columnar engine, so the two cannot drift in their draw structure.
-/// Appends tickets to `out` in generation order; correlated events are
-/// tagged `first_burst_id`, `first_burst_id + 1`, ... in discovery order and
-/// the count of events opened is returned.
+/// code path of the columnar engine, public so tests can feed it rates
+/// evaluated through HazardModel instead and compare the two. Appends
+/// tickets to `out` in generation order; correlated events are tagged
+/// `first_burst_id`, `first_burst_id + 1`, ... in discovery order and the
+/// count of events opened is returned.
 std::int32_t simulate_cell(const HazardConfig& cfg, const CellGeom& geom,
                            const CellRates& rates, util::Rng& day_rng,
                            util::DayIndex day, std::int32_t first_burst_id,
                            std::vector<Ticket>& out);
-
-/// Simulates one (rack, day) cell of the generative model, appending its
-/// tickets to `out` in generation order — the AoS reference path (rates
-/// evaluated through HazardModel per call). The cell draws only from the
-/// (root, rack.id, day) split — splitting never advances the parent — so ANY
-/// iteration order over cells reproduces identical tickets.
-std::int32_t simulate_rack_day(const HazardModel& hazard, const util::Rng& root,
-                               const Rack& rack, util::DayIndex day,
-                               std::int32_t first_burst_id,
-                               std::vector<Ticket>& out);
 
 /// Runs the generative model over the whole window, pushing each simulated
 /// day's finalized tickets through `sink` in log order (see TicketSink).

@@ -141,13 +141,6 @@ void write_ticket_csv(const TicketLog& log, std::ostream& out) {
   }
 }
 
-void write_ticket_csv_file(const TicketLog& log, const std::string& path) {
-  std::ofstream out(path);
-  util::require(out.good(), "cannot open ticket CSV for writing: " + path);
-  write_ticket_csv(log, out);
-  util::require(out.good(), "I/O error writing ticket CSV: " + path);
-}
-
 TicketLog read_ticket_csv(std::istream& in, const Fleet& fleet,
                           const TicketReadOptions& options, IngestReport* report) {
   // Accounting always runs — into the caller's report when supplied (delta
@@ -230,10 +223,6 @@ TicketLog read_ticket_csv_file(const std::string& path, const Fleet& fleet,
   std::ifstream in(path);
   util::require(in.good(), "cannot open ticket CSV: " + path);
   return read_ticket_csv(in, fleet, options, report);
-}
-
-TicketLog read_ticket_csv_file(const std::string& path, const Fleet& fleet) {
-  return read_ticket_csv_file(path, fleet, TicketReadOptions{}, nullptr);
 }
 
 }  // namespace rainshine::simdc

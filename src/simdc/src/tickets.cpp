@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <tuple>
 
 #include "rainshine/obs/metrics.hpp"
 #include "rainshine/obs/trace.hpp"
@@ -196,28 +195,6 @@ std::int32_t simulate_cell(const HazardConfig& cfg, const CellGeom& geom,
     }
   }
   return next_burst_id - first_burst_id;
-}
-
-std::int32_t simulate_rack_day(const HazardModel& hazard, const util::Rng& root,
-                               const Rack& rack, util::DayIndex day,
-                               std::int32_t first_burst_id,
-                               std::vector<Ticket>& out) {
-  const SkuSpec& sku = sku_spec(rack.sku);
-  const CellGeom geom{rack.id, rack.servers(), sku.disks_per_server,
-                      sku.dimms_per_server};
-  CellRates rates;
-  for (std::size_t i = 0; i < kNumFaultTypes; ++i) {
-    rates.fault[i] = hazard.rack_day_rate(rack, day, kAllFaultTypes[i]);
-  }
-  rates.burst = hazard.burst_rate(rack, day);
-  std::tie(rates.burst_lo, rates.burst_hi) = hazard.burst_fraction_range(rack);
-  rates.batch = hazard.disk_batch_rate(rack, day);
-  std::tie(rates.batch_lo, rates.batch_hi) =
-      hazard.disk_batch_fraction_range(rack);
-  util::Rng day_rng = root.split(static_cast<std::uint64_t>(rack.id))
-                          .split(static_cast<std::uint64_t>(day));
-  return simulate_cell(hazard.config(), geom, rates, day_rng, day,
-                       first_burst_id, out);
 }
 
 util::Rng ticket_stream_root(std::uint64_t seed) noexcept {

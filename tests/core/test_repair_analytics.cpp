@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "rainshine/core/prediction.hpp"
 #include "rainshine/core/repair_analytics.hpp"
-#include "rainshine/util/check.hpp"
 
 namespace rainshine::core {
 namespace {
@@ -101,54 +97,6 @@ TEST_F(AnalyticsTest, SurvivalSeparatesSkuQuality) {
   }
   // S4 (planted 4x more reliable) must show longer failure-free time.
   EXPECT_GT(s4->rmst_days, s2->rmst_days);
-}
-
-TEST_F(AnalyticsTest, PredictionBeatsPrevalenceBaseline) {
-  PredictionOptions opt;
-  opt.day_stride = 4;
-  opt.horizon_days = 7;
-  const PredictionStudy study = predict_rack_failures(metrics_, env_, opt);
-
-  EXPECT_GT(study.train_rows, 100U);
-  EXPECT_GT(study.test_rows, 100U);
-  EXPECT_EQ(study.test.total(), study.test_rows);
-
-  // The classifier must carry real signal: recall well above zero while
-  // precision beats the base rate (predicting "fail" for everyone would have
-  // precision == prevalence).
-  EXPECT_GT(study.test.recall(), 0.3);
-  EXPECT_GT(study.test.precision(), study.test_positive_rate);
-  EXPECT_GT(study.test.f1(), 0.3);
-  EXPECT_FALSE(study.factors.empty());
-}
-
-TEST_F(AnalyticsTest, PredictionValidatesOptions) {
-  PredictionOptions bad;
-  bad.horizon_days = 0;
-  EXPECT_THROW(predict_rack_failures(metrics_, env_, bad), util::precondition_error);
-  PredictionOptions too_long;
-  too_long.horizon_days = 10000;
-  EXPECT_THROW(predict_rack_failures(metrics_, env_, too_long),
-               util::precondition_error);
-  PredictionOptions bad_fraction;
-  bad_fraction.train_fraction = 1.5;
-  EXPECT_THROW(predict_rack_failures(metrics_, env_, bad_fraction),
-               util::precondition_error);
-}
-
-TEST_F(AnalyticsTest, ConfusionMatrixArithmetic) {
-  ConfusionMatrix m;
-  m.tp = 30;
-  m.fp = 10;
-  m.tn = 50;
-  m.fn = 10;
-  EXPECT_DOUBLE_EQ(m.accuracy(), 0.8);
-  EXPECT_DOUBLE_EQ(m.precision(), 0.75);
-  EXPECT_DOUBLE_EQ(m.recall(), 0.75);
-  EXPECT_DOUBLE_EQ(m.f1(), 0.75);
-  const ConfusionMatrix empty;
-  EXPECT_DOUBLE_EQ(empty.accuracy(), 0.0);
-  EXPECT_DOUBLE_EQ(empty.f1(), 0.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // whatif_sweep contract: sweep-order row layout, TCO decomposition
-// arithmetic, the predictor credit, sorting (stable, best re-flagged), the
-// sort-key parser, table formatting, and byte-identity of the formatted
-// table across thread counts.
+// arithmetic, the predictor credit, sorting (stable, best re-flagged),
+// table formatting, and byte-identity of the formatted table across thread
+// counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -148,22 +148,6 @@ TEST_F(WhatifTest, SortRowsOrdersEveryKeyAndKeepsTheRowMultiset) {
   std::vector<double> got_tcos;
   for (const PolicyRow& r : study.rows) got_tcos.push_back(r.tco_year);
   EXPECT_EQ(got_tcos, want_tcos);
-}
-
-TEST(WhatifParseTest, SortKeyParser) {
-  SortKey key{};
-  EXPECT_TRUE(parse_sort_key("tco", key));
-  EXPECT_EQ(key, SortKey::kTco);
-  EXPECT_TRUE(parse_sort_key("offset", key));
-  EXPECT_EQ(key, SortKey::kOffset);
-  EXPECT_TRUE(parse_sort_key("spares", key));
-  EXPECT_TRUE(parse_sort_key("repair", key));
-  EXPECT_TRUE(parse_sort_key("cooling", key));
-  EXPECT_TRUE(parse_sort_key("sla", key));
-  EXPECT_EQ(key, SortKey::kSla);
-  EXPECT_FALSE(parse_sort_key("", key));
-  EXPECT_FALSE(parse_sort_key("TCO", key));
-  EXPECT_FALSE(parse_sort_key("bogus", key));
 }
 
 TEST_F(WhatifTest, FormatPolicyTableShapesAndTopN) {

@@ -3,9 +3,9 @@
 //
 //   * concatenating the per-day sink chunks reproduces simulate()'s
 //     TicketLog field for field — and both match an AoS reference log
-//     rebuilt here from simulate_rack_day the way the batch path
-//     originally worked (rack-major generation, chronological burst
-//     renumber, stable sort by open_hour);
+//     rebuilt here from simulate_rack_day (rates through HazardModel, no
+//     FleetTable) the way the batch path originally worked (rack-major
+//     generation, chronological burst renumber, stable sort by open_hour);
 //   * the output is identical at any thread count (the determinism claim
 //     the split-RNG cell scheme makes);
 //   * chunks respect the day watermark, the sweep honors early stop, an
@@ -58,11 +58,36 @@ struct ChunkSink final : TicketSink {
   }
 };
 
+/// One (rack, day) cell through the AoS reference path: every rate is
+/// evaluated through HazardModel per call, then simulate_cell draws from the
+/// cell's own (root, rack.id, day) split — splitting never advances the
+/// parent, so ANY iteration order over cells reproduces identical tickets.
+std::int32_t simulate_rack_day(const HazardModel& hazard, const util::Rng& root,
+                               const Rack& rack, util::DayIndex day,
+                               std::int32_t first_burst_id,
+                               std::vector<Ticket>& out) {
+  const SkuSpec& sku = sku_spec(rack.sku);
+  const CellGeom geom{rack.id, rack.servers(), sku.disks_per_server,
+                      sku.dimms_per_server};
+  CellRates rates;
+  for (std::size_t i = 0; i < kNumFaultTypes; ++i) {
+    rates.fault[i] = hazard.rack_day_rate(rack, day, kAllFaultTypes[i]);
+  }
+  rates.burst = hazard.burst_rate(rack, day);
+  std::tie(rates.burst_lo, rates.burst_hi) = hazard.burst_fraction_range(rack);
+  rates.batch = hazard.disk_batch_rate(rack, day);
+  std::tie(rates.batch_lo, rates.batch_hi) =
+      hazard.disk_batch_fraction_range(rack);
+  util::Rng day_rng = root.split(static_cast<std::uint64_t>(rack.id))
+                          .split(static_cast<std::uint64_t>(day));
+  return simulate_cell(hazard.config(), geom, rates, day_rng, day,
+                       first_burst_id, out);
+}
+
 /// The original batch algorithm, reconstructed from public pieces: generate
-/// rack-major through the AoS reference path (simulate_rack_day evaluates
-/// rates through HazardModel/EnvironmentModel, no FleetTable), renumber
-/// bursts chronologically in (day, rack) order, and let TicketLog's stable
-/// sort by open_hour impose the total order. The engine must match this
+/// rack-major through simulate_rack_day above, renumber bursts
+/// chronologically in (day, rack) order, and let TicketLog's stable sort by
+/// open_hour impose the total order. The engine must match this
 /// independently-computed log exactly.
 TicketLog reference_log(const Fleet& fleet, const HazardModel& hazard,
                         std::uint64_t seed) {
