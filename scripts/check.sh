@@ -5,7 +5,10 @@
 #   scripts/check.sh --sanitize    # additionally an ASan+UBSan build + ctest
 #   scripts/check.sh --tsan        # additionally a ThreadSanitizer build + ctest
 #   scripts/check.sh --serve-smoke # additionally run the modelc -> score
-#                                  # artifact pipeline end-to-end
+#                                  # artifact pipeline end-to-end and check
+#                                  # that modelc's exported table and
+#                                  # artifact are byte-identical across
+#                                  # RAINSHINE_THREADS
 #   scripts/check.sh --net-smoke   # additionally check that malformed
 #                                  # command lines, bench variables and
 #                                  # example arguments are usage errors and
@@ -115,6 +118,21 @@ if [[ "$serve_smoke" == 1 ]]; then
     exit 1
   fi
   echo "serve smoke: 1-thread and 4-thread outputs byte-identical"
+
+  # So are the fit's inputs and output: the exported rack-day table and the
+  # artifact grown from it.
+  for threads in 1 4; do
+    RAINSHINE_THREADS=$threads ./build/tools/rainshine_modelc --demo --days 60 \
+      --trees 8 --output "$workdir/demo_t$threads.rsf" \
+      --export-csv "$workdir/rows_t$threads.csv" >/dev/null
+  done
+  if ! cmp -s "$workdir/rows_t1.csv" "$workdir/rows_t4.csv" ||
+     ! cmp -s "$workdir/demo_t1.rsf" "$workdir/demo_t4.rsf"; then
+    echo "serve smoke FAILED: modelc's table or artifact differs across" \
+      "RAINSHINE_THREADS" >&2
+    exit 1
+  fi
+  echo "serve smoke: modelc table and artifact byte-identical at 1 and 4 threads"
 
   echo "== metrics smoke: sidecars parse and carry the expected series =="
   # modelc --demo fits straight from the simulated log (no ingest pass).

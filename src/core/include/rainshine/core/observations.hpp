@@ -4,6 +4,7 @@
 // consumes one of these tables.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,5 +84,12 @@ inline constexpr const char* kMuDimmFrac = "mu_dimm_frac";
 /// The static rack-feature columns every MF model conditions on, in the
 /// order the paper lists its λ ~ ... calls.
 [[nodiscard]] std::vector<std::string> static_rack_features();
+
+/// One row per rack of `racks`, in that order, holding the static features a
+/// provisioner knows before deployment: dc, region, sku, workload, power_kw
+/// and commission_year (as in the rack-day table). The per-rack studies
+/// append their responses to it.
+[[nodiscard]] table::Table static_rack_table(const util::Calendar& calendar,
+                                             std::span<const simdc::Rack* const> racks);
 
 }  // namespace rainshine::core

@@ -66,14 +66,6 @@ std::vector<double> deciles(std::span<const double> values) {
   return out;
 }
 
-/// Features the cluster tree may split on. age_months varies over the
-/// window, which would let a rack straddle leaves; commission_year carries
-/// the same cohort signal statically, so racks map to exactly one cluster.
-std::vector<std::string> cluster_features() {
-  return {col::kDc,     col::kRegion,        col::kSku,
-          col::kWorkload, col::kPowerKw,     col::kCommissionYear};
-}
-
 struct Clustering {
   /// Leaf index per rack (parallel to the racks vector used to build it).
   std::vector<std::size_t> leaf_of_rack;
@@ -81,35 +73,6 @@ struct Clustering {
   std::vector<std::string> rules;     ///< per leaf id
   std::vector<cart::Importance> importance;
 };
-
-/// One-row-per-rack static feature table (the features a provisioner knows
-/// BEFORE deployment).
-table::Table static_rack_table(const FailureMetrics& metrics,
-                               std::span<const Rack* const> racks,
-                               std::span<const double> response) {
-  table::TableBuilder b;
-  b.add_nominal(col::kDc)
-      .add_nominal(col::kRegion)
-      .add_nominal(col::kSku)
-      .add_nominal(col::kWorkload)
-      .add_continuous(col::kPowerKw)
-      .add_ordinal(col::kCommissionYear);
-  if (!response.empty()) b.add_continuous("requirement");
-  const util::Calendar& cal = metrics.fleet().calendar();
-  for (std::size_t i = 0; i < racks.size(); ++i) {
-    const Rack* rack = racks[i];
-    const std::int32_t commission_year = cal.year_offset(rack->commission_day);
-    b.begin_row();
-    b.set(col::kDc, simdc::to_string(rack->dc));
-    b.set(col::kRegion, std::string_view(rack->region_label()));
-    b.set(col::kSku, simdc::to_string(rack->sku));
-    b.set(col::kWorkload, simdc::to_string(rack->workload));
-    b.set(col::kPowerKw, rack->rated_power_kw);
-    b.set(col::kCommissionYear, commission_year);
-    if (!response.empty()) b.set("requirement", response[i]);
-  }
-  return b.finish();
-}
 
 /// Fits the MF cluster tree on per-rack TAIL statistics — each rack's own
 /// spare requirement at the most stringent requested SLA — over the static
@@ -125,8 +88,13 @@ Clustering cluster_racks(const FailureMetrics& metrics,
   for (std::size_t i = 0; i < racks.size(); ++i) {
     response[i] = stats::Ecdf(series.per_rack[i]).quantile(top_sla);
   }
-  const table::Table tbl = static_rack_table(metrics, racks, response);
-  const cart::Dataset fit_data(tbl, "requirement", cluster_features(),
+  // The tree splits on the static columns only. age_months varies over the
+  // window, which would let a rack straddle leaves; commission_year carries
+  // the same cohort signal statically, so racks map to exactly one cluster.
+  table::Table tbl = static_rack_table(metrics.fleet().calendar(), racks);
+  const std::vector<std::string> features = tbl.column_names();
+  tbl.add_column("requirement", table::Column::continuous(std::move(response)));
+  const cart::Dataset fit_data(tbl, "requirement", features,
                                cart::Task::kRegression);
   const cart::Tree tree = cart::grow(fit_data, options.tree_config);
   const cart::Dataset assign_data(tbl, tree.features());

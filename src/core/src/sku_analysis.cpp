@@ -51,30 +51,18 @@ std::vector<RackSummary> summarize_racks(const FailureMetrics& metrics) {
 
 table::Table rack_summary_table(const FailureMetrics& metrics,
                                 const std::vector<RackSummary>& summaries) {
-  const util::Calendar& cal = metrics.fleet().calendar();
-  table::TableBuilder b;
-  b.add_nominal(col::kDc)
-      .add_nominal(col::kRegion)
-      .add_nominal(col::kSku)
-      .add_nominal(col::kWorkload)
-      .add_continuous(col::kPowerKw)
-      .add_ordinal(col::kCommissionYear)
-      .add_continuous("mean_lambda")
-      .add_continuous("peak_mu");
+  std::vector<const Rack*> racks;
+  std::vector<double> mean_lambda;
+  std::vector<double> peak_mu;
   for (const RackSummary& s : summaries) {
-    const Rack& rack = *s.rack;
-    const std::int32_t commission_year = cal.year_offset(rack.commission_day);
-    b.begin_row();
-    b.set(col::kDc, simdc::to_string(rack.dc));
-    b.set(col::kRegion, std::string_view(rack.region_label()));
-    b.set(col::kSku, simdc::to_string(rack.sku));
-    b.set(col::kWorkload, simdc::to_string(rack.workload));
-    b.set(col::kPowerKw, rack.rated_power_kw);
-    b.set(col::kCommissionYear, commission_year);
-    b.set("mean_lambda", s.mean_lambda);
-    b.set("peak_mu", s.peak_mu);
+    racks.push_back(s.rack);
+    mean_lambda.push_back(s.mean_lambda);
+    peak_mu.push_back(s.peak_mu);
   }
-  return b.finish();
+  table::Table out = static_rack_table(metrics.fleet().calendar(), racks);
+  out.add_column("mean_lambda", table::Column::continuous(std::move(mean_lambda)));
+  out.add_column("peak_mu", table::Column::continuous(std::move(peak_mu)));
+  return out;
 }
 
 /// Keeps only the requested SKU levels, preserving their order in `options`.

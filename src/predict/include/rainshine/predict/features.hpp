@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "rainshine/core/metrics.hpp"
@@ -107,16 +108,6 @@ class FeatureBuilder final : public simdc::TicketSink {
     util::DayIndex day = 0;
     bool hardware = false;
   };
-  /// One raw feature row, materialized into the Table at finish().
-  struct RawRow {
-    std::uint8_t dc = 0, sku = 0, workload = 0;
-    double age_months = 0, power_kw = 0;
-    double srv_all_w0 = 0, srv_all_w1 = 0, srv_all_w2 = 0, srv_hw_w1 = 0;
-    double rack_hw_w0 = 0, rack_hw_w1 = 0, rack_hw_w2 = 0, rack_all_w1 = 0;
-    double rack_disk_w1 = 0, rack_mem_w1 = 0;
-    double hot_hours_w0 = 0, hot_hours_w1 = 0, hot_hours_w2 = 0;
-    double dry_hours_w1 = 0, temp_mean_w1 = 0, rh_mean_w1 = 0;
-  };
   struct PendingSnapshot {
     util::DayIndex day = 0;
     /// Global server index -> row id, or -1 for servers without a row
@@ -142,7 +133,10 @@ class FeatureBuilder final : public simdc::TicketSink {
   std::vector<std::size_t> server_offset_;  ///< rack id -> global server base
   std::vector<std::vector<ServerEvent>> events_;  ///< per global server
   std::vector<PendingSnapshot> pending_;
-  std::vector<RawRow> rows_;
+  /// Feature columns in table order, one value per emitted row; finish()
+  /// moves them into the table and appends the response.
+  std::vector<std::string> feature_names_;
+  std::vector<table::Column> features_;
   std::vector<RowMeta> meta_;
   std::vector<util::DayIndex> snapshot_days_;
   util::DayIndex next_day_ = 0;      ///< next expected observe_day argument

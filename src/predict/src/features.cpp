@@ -36,6 +36,20 @@ FeatureBuilder::FeatureBuilder(const simdc::Fleet& fleet,
                     config_.windows_days[1] < config_.windows_days[2],
                 "FeatureConfig: windows_days must be ascending and positive");
 
+  const std::string s0 = day_suffix(config_.windows_days[0]);
+  const std::string s1 = day_suffix(config_.windows_days[1]);
+  const std::string s2 = day_suffix(config_.windows_days[2]);
+  feature_names_ = {"dc", "sku", "workload", "age_months", "power_kw",
+                    "srv_all_" + s0, "srv_all_" + s1, "srv_all_" + s2,
+                    "srv_hw_" + s1, "rack_hw_" + s0, "rack_hw_" + s1,
+                    "rack_hw_" + s2, "rack_all_" + s1, "rack_disk_" + s1,
+                    "rack_mem_" + s1, "hot_hours_" + s0, "hot_hours_" + s1,
+                    "hot_hours_" + s2, "dry_hours_" + s1, "temp_mean_" + s1,
+                    "rh_mean_" + s1};
+  // dc, sku and workload are nominal; every other feature is continuous.
+  features_.assign(3, table::Column(table::ColumnType::kNominal));
+  features_.resize(feature_names_.size());
+
   const auto& racks = fleet.racks();
   server_offset_.reserve(racks.size());
   std::size_t servers = 0;
@@ -195,36 +209,33 @@ void FeatureBuilder::emit_snapshot(util::DayIndex s) {
                                      });
       if (keep != events.begin()) events.erase(events.begin(), keep);
 
-      RawRow row;
-      row.dc = static_cast<std::uint8_t>(rack.dc);
-      row.sku = static_cast<std::uint8_t>(rack.sku);
-      row.workload = static_cast<std::uint8_t>(rack.workload);
-      row.age_months = rack.age_months(s);
-      row.power_kw = rack.rated_power_kw;
+      double srv_all_w0 = 0, srv_all_w1 = 0, srv_all_w2 = 0, srv_hw_w1 = 0;
       for (const ServerEvent& e : events) {
         const util::DayIndex age = s - e.day;  // >= 1: absorbed pre-snapshot
-        row.srv_all_w2 += 1;
+        srv_all_w2 += 1;
         if (age <= w1) {
-          row.srv_all_w1 += 1;
-          if (e.hardware) row.srv_hw_w1 += 1;
+          srv_all_w1 += 1;
+          if (e.hardware) srv_hw_w1 += 1;
         }
-        if (age <= w0) row.srv_all_w0 += 1;
+        if (age <= w0) srv_all_w0 += 1;
       }
-      row.rack_hw_w0 = rack_hw_w0;
-      row.rack_hw_w1 = rack_hw_w1;
-      row.rack_hw_w2 = rack_hw_w2;
-      row.rack_all_w1 = rack_all_w1;
-      row.rack_disk_w1 = rack_disk_w1;
-      row.rack_mem_w1 = rack_mem_w1;
-      row.hot_hours_w0 = hot_w0;
-      row.hot_hours_w1 = hot_w1;
-      row.hot_hours_w2 = hot_w2;
-      row.dry_hours_w1 = dry_w1;
-      row.temp_mean_w1 = temp_mean;
-      row.rh_mean_w1 = rh_mean;
 
-      pending.row_of_server[g] = static_cast<std::int32_t>(rows_.size());
-      rows_.push_back(row);
+      // One value per feature column, in feature_names_ order.
+      auto column = features_.begin();
+      for (const std::string_view label :
+           {simdc::to_string(rack.dc), simdc::to_string(rack.sku),
+            simdc::to_string(rack.workload)}) {
+        (column++)->push_nominal(label);
+      }
+      for (const double value :
+           {rack.age_months(s), rack.rated_power_kw, srv_all_w0, srv_all_w1,
+            srv_all_w2, srv_hw_w1, rack_hw_w0, rack_hw_w1, rack_hw_w2,
+            rack_all_w1, rack_disk_w1, rack_mem_w1, hot_w0, hot_w1, hot_w2,
+            dry_w1, temp_mean, rh_mean}) {
+        (column++)->push_continuous(value);
+      }
+
+      pending.row_of_server[g] = static_cast<std::int32_t>(meta_.size());
       meta_.push_back({.snapshot_day = s,
                        .rack_id = rack.id,
                        .server_index = static_cast<std::int16_t>(srv),
@@ -275,52 +286,14 @@ FeatureSet FeatureBuilder::finish() {
   util::require(!finished_, "FeatureBuilder: finish called twice");
   finished_ = true;
 
-  const std::string s0 = day_suffix(config_.windows_days[0]);
-  const std::string s1 = day_suffix(config_.windows_days[1]);
-  const std::string s2 = day_suffix(config_.windows_days[2]);
-
-  table::TableBuilder builder;
-  builder.add_nominal("dc").add_nominal("sku").add_nominal("workload");
-  builder.add_continuous("age_months").add_continuous("power_kw");
-  for (const auto& name :
-       {"srv_all_" + s0, "srv_all_" + s1, "srv_all_" + s2, "srv_hw_" + s1,
-        "rack_hw_" + s0, "rack_hw_" + s1, "rack_hw_" + s2, "rack_all_" + s1,
-        "rack_disk_" + s1, "rack_mem_" + s1, "hot_hours_" + s0,
-        "hot_hours_" + s1, "hot_hours_" + s2, "dry_hours_" + s1,
-        "temp_mean_" + s1, "rh_mean_" + s1})
-    builder.add_continuous(name);
-  builder.add_continuous(kResponse);
-
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const RawRow& r = rows_[i];
-    builder.begin_row();
-    builder.set("dc", simdc::to_string(static_cast<simdc::DataCenterId>(r.dc)));
-    builder.set("sku", simdc::to_string(static_cast<simdc::SkuId>(r.sku)));
-    builder.set("workload",
-                simdc::to_string(static_cast<simdc::WorkloadId>(r.workload)));
-    builder.set("age_months", r.age_months);
-    builder.set("power_kw", r.power_kw);
-    builder.set("srv_all_" + s0, r.srv_all_w0);
-    builder.set("srv_all_" + s1, r.srv_all_w1);
-    builder.set("srv_all_" + s2, r.srv_all_w2);
-    builder.set("srv_hw_" + s1, r.srv_hw_w1);
-    builder.set("rack_hw_" + s0, r.rack_hw_w0);
-    builder.set("rack_hw_" + s1, r.rack_hw_w1);
-    builder.set("rack_hw_" + s2, r.rack_hw_w2);
-    builder.set("rack_all_" + s1, r.rack_all_w1);
-    builder.set("rack_disk_" + s1, r.rack_disk_w1);
-    builder.set("rack_mem_" + s1, r.rack_mem_w1);
-    builder.set("hot_hours_" + s0, r.hot_hours_w0);
-    builder.set("hot_hours_" + s1, r.hot_hours_w1);
-    builder.set("hot_hours_" + s2, r.hot_hours_w2);
-    builder.set("dry_hours_" + s1, r.dry_hours_w1);
-    builder.set("temp_mean_" + s1, r.temp_mean_w1);
-    builder.set("rh_mean_" + s1, r.rh_mean_w1);
-    builder.set(kResponse, static_cast<double>(meta_[i].label));
-  }
+  table::Column fail;
+  for (const RowMeta& m : meta_) fail.push_continuous(m.label);
 
   FeatureSet set;
-  set.table = builder.finish();
+  for (std::size_t c = 0; c < features_.size(); ++c) {
+    set.table.add_column(std::move(feature_names_[c]), std::move(features_[c]));
+  }
+  set.table.add_column(kResponse, std::move(fail));
   set.meta = std::move(meta_);
   set.config = config_;
   set.num_days = fleet_->spec().num_days;

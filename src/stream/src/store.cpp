@@ -52,9 +52,9 @@ SeriesId SeriesStore::add_series(SeriesSpec spec) {
     util::require(t.slots >= 1, "tier slots must be >= 1");
   }
   std::unique_lock lock(mutex_);
-  for (const Series& s : series_) {
-    util::require(s.name != spec.name, "duplicate series name: " + spec.name);
-  }
+  const auto same_name = [&](const Series& s) { return s.name == spec.name; };
+  util::require(std::none_of(series_.begin(), series_.end(), same_name),
+                "duplicate series name: " + spec.name);
   Series series;
   series.name = std::move(spec.name);
   series.tiers.reserve(spec.tiers.size());

@@ -1,10 +1,12 @@
 // A small columnar dataframe.
 //
-// `Table` is the exchange format between the simulator (which emits a row
-// per rack-period observation), the CART learner (which consumes feature
-// columns) and the decision studies. It deliberately implements only what
-// the analyses need: schema-checked column access, row filtering/selection,
-// sorting and group-by aggregation.
+// `Table` is the exchange format between the feature tables (one row per
+// rack-day, rack or server snapshot), the CART learner (which consumes
+// feature columns) and the decision studies. Producers build it column by
+// column: they fill typed `Column`s and pass each to `add_column`, whose
+// duplicate-name and equal-length checks catch a missed or doubled value.
+// It deliberately implements only what the analyses need: schema-checked
+// column access, row selection, sorting and group-by aggregation.
 #pragma once
 
 #include <functional>
@@ -46,17 +48,11 @@ class Table {
   [[nodiscard]] std::vector<std::size_t> find_rows(
       const std::function<bool(std::size_t)>& predicate) const;
 
-  /// New table with rows where `predicate(row)` holds.
-  [[nodiscard]] Table filter(const std::function<bool(std::size_t)>& predicate) const;
-
   /// New table with only the named columns (schema projection).
   [[nodiscard]] Table select(std::span<const std::string> names) const;
 
   /// Row indices sorted ascending by the numeric view of `name`.
   [[nodiscard]] std::vector<std::size_t> sorted_indices(std::string_view name) const;
-
-  /// Renders the first `max_rows` rows as an aligned text preview.
-  [[nodiscard]] std::string preview(std::size_t max_rows = 10) const;
 
  private:
   std::vector<std::string> names_;
@@ -64,38 +60,6 @@ class Table {
   std::size_t num_rows_ = 0;
 
   [[nodiscard]] std::optional<std::size_t> index_of(std::string_view name) const noexcept;
-};
-
-/// Incrementally builds a Table row by row against a fixed schema; used by
-/// the simulator's observation emitters.
-class TableBuilder {
- public:
-  TableBuilder& add_continuous(std::string name);
-  TableBuilder& add_ordinal(std::string name);
-  TableBuilder& add_nominal(std::string name);
-
-  /// Begins a new row; every column must then be set exactly once before the
-  /// next begin_row()/finish(). Values may be set in any order.
-  void begin_row();
-  void set(std::string_view name, double value);
-  void set(std::string_view name, std::int32_t value);
-  void set(std::string_view name, std::string_view label);
-  void set_missing(std::string_view name);
-
-  /// Validates the final row and returns the table. The builder is consumed.
-  [[nodiscard]] Table finish();
-
- private:
-  struct Pending {
-    std::string name;
-    Column column;
-    bool set_in_current_row = false;
-  };
-  std::vector<Pending> pending_;
-  bool in_row_ = false;
-
-  [[nodiscard]] Pending& pending_for(std::string_view name);
-  void close_row();
 };
 
 }  // namespace rainshine::table

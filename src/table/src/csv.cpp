@@ -128,14 +128,17 @@ void push_cell(Column& col, const std::string& cell) {
   switch (col.type()) {
     case ColumnType::kContinuous: {
       double v = 0.0;
-      util::ensure(util::parse_double(cell, v),
-                   "unvalidated continuous cell: " + cell);
+      if (!util::parse_double(cell, v)) {
+        util::ensure(false, "unvalidated continuous cell: " + cell);
+      }
       col.push_continuous(v);
       return;
     }
     case ColumnType::kOrdinal: {
       long long v = 0;
-      util::ensure(util::parse_int(cell, v), "unvalidated ordinal cell: " + cell);
+      if (!util::parse_int(cell, v)) {
+        util::ensure(false, "unvalidated ordinal cell: " + cell);
+      }
       col.push_ordinal(static_cast<std::int32_t>(v));
       return;
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "rainshine/util/check.hpp"
 
@@ -72,10 +71,6 @@ std::vector<std::size_t> Table::find_rows(
   return out;
 }
 
-Table Table::filter(const std::function<bool(std::size_t)>& predicate) const {
-  return take(find_rows(predicate));
-}
-
 Table Table::select(std::span<const std::string> names) const {
   Table out;
   for (const auto& name : names) out.add_column(name, column(name));
@@ -94,96 +89,6 @@ std::vector<std::size_t> Table::sorted_indices(std::string_view name) const {
     return va < vb;
   });
   return order;
-}
-
-std::string Table::preview(std::size_t max_rows) const {
-  std::ostringstream os;
-  for (std::size_t c = 0; c < names_.size(); ++c) {
-    if (c) os << '\t';
-    os << names_[c];
-  }
-  os << '\n';
-  const std::size_t rows = std::min(max_rows, num_rows_);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      if (c) os << '\t';
-      os << columns_[c].cell_to_string(r);
-    }
-    os << '\n';
-  }
-  if (rows < num_rows_) os << "... (" << num_rows_ - rows << " more rows)\n";
-  return os.str();
-}
-
-// -- TableBuilder -------------------------------------------------------------
-
-TableBuilder& TableBuilder::add_continuous(std::string name) {
-  util::require(!in_row_, "cannot add columns after begin_row");
-  pending_.push_back({std::move(name), Column(ColumnType::kContinuous), false});
-  return *this;
-}
-
-TableBuilder& TableBuilder::add_ordinal(std::string name) {
-  util::require(!in_row_, "cannot add columns after begin_row");
-  pending_.push_back({std::move(name), Column(ColumnType::kOrdinal), false});
-  return *this;
-}
-
-TableBuilder& TableBuilder::add_nominal(std::string name) {
-  util::require(!in_row_, "cannot add columns after begin_row");
-  pending_.push_back({std::move(name), Column(ColumnType::kNominal), false});
-  return *this;
-}
-
-TableBuilder::Pending& TableBuilder::pending_for(std::string_view name) {
-  for (auto& p : pending_) {
-    if (p.name == name) {
-      util::require(in_row_, "set outside of a row");
-      util::require(!p.set_in_current_row,
-                    "column '" + p.name + "' set twice in one row");
-      p.set_in_current_row = true;
-      return p;
-    }
-  }
-  throw util::precondition_error("no such column: " + std::string(name));
-}
-
-void TableBuilder::close_row() {
-  for (auto& p : pending_) {
-    util::require(p.set_in_current_row, "column '" + p.name + "' not set in row");
-    p.set_in_current_row = false;
-  }
-}
-
-void TableBuilder::begin_row() {
-  util::require(!pending_.empty(), "begin_row on empty schema");
-  if (in_row_) close_row();
-  in_row_ = true;
-}
-
-void TableBuilder::set(std::string_view name, double value) {
-  pending_for(name).column.push_continuous(value);
-}
-
-void TableBuilder::set(std::string_view name, std::int32_t value) {
-  pending_for(name).column.push_ordinal(value);
-}
-
-void TableBuilder::set(std::string_view name, std::string_view label) {
-  pending_for(name).column.push_nominal(label);
-}
-
-void TableBuilder::set_missing(std::string_view name) {
-  pending_for(name).column.push_missing();
-}
-
-Table TableBuilder::finish() {
-  if (in_row_) close_row();
-  Table out;
-  for (auto& p : pending_) out.add_column(std::move(p.name), std::move(p.column));
-  pending_.clear();
-  in_row_ = false;
-  return out;
 }
 
 }  // namespace rainshine::table

@@ -8,6 +8,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace rainshine::util {
 
@@ -25,21 +26,24 @@ class invariant_error : public std::logic_error {
 };
 
 /// Throws precondition_error with `message` (annotated with the call site)
-/// unless `condition` holds.
-inline void require(bool condition, const std::string& message,
+/// unless `condition` holds. A literal message costs nothing when the check
+/// passes; a message the caller concatenates is built on every call.
+inline void require(bool condition, std::string_view message,
                     std::source_location loc = std::source_location::current()) {
   if (!condition) {
     throw precondition_error(std::string(loc.file_name()) + ":" +
-                             std::to_string(loc.line()) + ": " + message);
+                             std::to_string(loc.line()) + ": " +
+                             std::string(message));
   }
 }
 
 /// Throws invariant_error with `message` unless `condition` holds.
-inline void ensure(bool condition, const std::string& message,
+inline void ensure(bool condition, std::string_view message,
                    std::source_location loc = std::source_location::current()) {
   if (!condition) {
     throw invariant_error(std::string(loc.file_name()) + ":" +
-                          std::to_string(loc.line()) + ": " + message);
+                          std::to_string(loc.line()) + ": " +
+                          std::string(message));
   }
 }
 

@@ -58,27 +58,82 @@ TEST_F(ObservationsTest, ValuesMatchSources) {
   ObservationOptions opt;
   opt.include_mu = true;
   const table::Table t = rack_day_table(metrics_, env_, opt);
-  const auto& rack_col = t.column(col::kRack);
-  const auto& day_col = t.column(col::kDay);
-  // Spot-check a scattering of rows against the primary sources.
-  for (std::size_t r = 0; r < t.num_rows(); r += 97) {
-    const std::string rack_label = rack_col.cell_to_string(r);
-    const auto rack_id = static_cast<std::int32_t>(std::stoi(rack_label.substr(1)));
-    const auto day = static_cast<util::DayIndex>(day_col.ordinal_values()[r]);
-    const simdc::Rack& rack = fleet_.rack(rack_id);
+  const util::Calendar& cal = fleet_.calendar();
+  const auto label = [&](const char* name, std::size_t r) {
+    return t.column(name).cell_to_string(r);
+  };
+  const auto value = [&](const char* name, std::size_t r) {
+    return t.column(name).as_double(r);
+  };
 
-    EXPECT_EQ(t.column(col::kSku).cell_to_string(r), to_string(rack.sku));
-    EXPECT_EQ(t.column(col::kDc).cell_to_string(r), to_string(rack.dc));
-    EXPECT_DOUBLE_EQ(t.column(col::kPowerKw).as_double(r), rack.rated_power_kw);
-    EXPECT_DOUBLE_EQ(t.column(col::kLambdaHw).as_double(r),
-                     metrics_.hardware_count(rack_id, day));
-    const simdc::Conditions c = env_.daily_mean(rack, day);
-    EXPECT_DOUBLE_EQ(t.column(col::kTempF).as_double(r), c.temperature_f);
-    EXPECT_DOUBLE_EQ(t.column(col::kRh).as_double(r), c.relative_humidity);
-    const auto mu = metrics_.mu_series(rack_id, DeviceKind::kServer,
-                                       Granularity::kDaily, true);
-    EXPECT_DOUBLE_EQ(t.column(col::kMuServer).as_double(r),
-                     mu[static_cast<std::size_t>(day)]);
+  // Every row and every column against the primary sources. Rows run rack
+  // by rack, days ascending, from each rack's commission day on.
+  std::size_t r = 0;
+  for (const simdc::Rack& rack : fleet_.racks()) {
+    const auto mu_all = metrics_.mu_series(rack.id, DeviceKind::kServer,
+                                           Granularity::kDaily, true);
+    const auto mu_other =
+        metrics_.mu_series(rack.id, DeviceKind::kServer, Granularity::kDaily);
+    const auto mu_disk =
+        metrics_.mu_series(rack.id, DeviceKind::kDisk, Granularity::kDaily);
+    const auto mu_dimm =
+        metrics_.mu_series(rack.id, DeviceKind::kDimm, Granularity::kDaily);
+    for (util::DayIndex day = std::max(0, rack.commission_day);
+         day < fleet_.spec().num_days; ++day, ++r) {
+      ASSERT_LT(r, t.num_rows());
+      SCOPED_TRACE(testing::Message() << "row " << r);
+      const auto d = static_cast<std::size_t>(day);
+      const simdc::Conditions c = env_.daily_mean(rack, day);
+      ASSERT_EQ(label(col::kRack, r), "R" + std::to_string(rack.id));
+      ASSERT_EQ(label(col::kDc, r), to_string(rack.dc));
+      ASSERT_EQ(label(col::kRegion, r), rack.region_label());
+      ASSERT_EQ(label(col::kSku, r), to_string(rack.sku));
+      ASSERT_EQ(label(col::kWorkload, r), to_string(rack.workload));
+      ASSERT_EQ(value(col::kPowerKw, r), rack.rated_power_kw);
+      ASSERT_EQ(value(col::kAgeMonths, r), rack.age_months(day));
+      ASSERT_EQ(value(col::kCommissionYear, r),
+                cal.year_offset(rack.commission_day));
+      ASSERT_EQ(value(col::kDay, r), day);
+      ASSERT_EQ(label(col::kWeekday, r), util::to_string(cal.weekday(day)));
+      ASSERT_EQ(label(col::kMonth, r), util::to_string(cal.month(day)));
+      ASSERT_EQ(value(col::kYear, r), cal.year_offset(day));
+      ASSERT_EQ(value(col::kTempF, r), c.temperature_f);
+      ASSERT_EQ(value(col::kRh, r), c.relative_humidity);
+      ASSERT_EQ(value(col::kLambdaAll, r), metrics_.total_count(rack.id, day));
+      ASSERT_EQ(value(col::kLambdaHw, r), metrics_.hardware_count(rack.id, day));
+      ASSERT_EQ(value(col::kLambdaDisk, r),
+                metrics_.count(rack.id, day, FaultType::kDiskFailure));
+      ASSERT_EQ(value(col::kLambdaMem, r),
+                metrics_.count(rack.id, day, FaultType::kMemoryFailure));
+      ASSERT_EQ(value(col::kMuServer, r), mu_all[d]);
+      ASSERT_EQ(value(col::kMuServerFrac, r),
+                static_cast<double>(mu_all[d]) / rack.servers());
+      ASSERT_EQ(value(col::kMuServerOther, r), mu_other[d]);
+      ASSERT_EQ(value(col::kMuServerOtherFrac, r),
+                static_cast<double>(mu_other[d]) / rack.servers());
+      ASSERT_EQ(value(col::kMuDisk, r), mu_disk[d]);
+      ASSERT_EQ(value(col::kMuDiskFrac, r),
+                static_cast<double>(mu_disk[d]) / rack.disks());
+      ASSERT_EQ(value(col::kMuDimm, r), mu_dimm[d]);
+      ASSERT_EQ(value(col::kMuDimmFrac, r),
+                static_cast<double>(mu_dimm[d]) / rack.dimms());
+    }
+  }
+  EXPECT_EQ(r, t.num_rows());
+  EXPECT_EQ(t.num_columns(), 26U);
+
+  // CART's categorical codes follow each nominal dictionary, so the
+  // dictionary must list labels in the order rows first show them.
+  for (std::size_t c = 0; c < t.num_columns(); ++c) {
+    const table::Column& column = t.column_at(c);
+    if (column.type() != table::ColumnType::kNominal) continue;
+    std::int32_t seen = 0;
+    for (const std::int32_t code : column.nominal_codes()) {
+      ASSERT_LE(code, seen) << t.column_name(c);
+      if (code == seen) ++seen;
+    }
+    EXPECT_EQ(static_cast<std::size_t>(seen), column.cardinality())
+        << t.column_name(c);
   }
 }
 

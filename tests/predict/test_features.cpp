@@ -252,19 +252,28 @@ TEST_F(FeatureTest, ByteIdenticalAcrossThreadCounts) {
   const FeatureConfig config = test_config();
   std::string want_csv;
   std::vector<RowMeta> want_meta;
+  // write_csv prints labels, not codes: the dictionaries pin the codes CART
+  // splits on.
+  const char* const nominal[] = {"dc", "sku", "workload"};
+  std::vector<std::vector<std::string>> want_dicts;
   for (const std::size_t threads : {1UL, 3UL}) {
     util::set_num_threads(threads);
     const FeatureSet set =
         build_features(fleet_, env_, hazard_, config, {.seed = spec_.seed});
     std::ostringstream out;
     table::write_csv(set.table, out);
+    std::vector<std::vector<std::string>> dicts;
+    for (const char* name : nominal)
+      dicts.push_back(set.table.column(name).dictionary());
     if (want_csv.empty()) {
       want_csv = out.str();
       want_meta = set.meta;
+      want_dicts = dicts;
       ASSERT_FALSE(want_csv.empty());
       continue;
     }
     EXPECT_EQ(out.str(), want_csv) << "threads=" << threads;
+    EXPECT_EQ(dicts, want_dicts) << "threads=" << threads;
     ASSERT_EQ(set.meta.size(), want_meta.size());
     for (std::size_t i = 0; i < set.meta.size(); ++i) {
       EXPECT_EQ(set.meta[i].snapshot_day, want_meta[i].snapshot_day);

@@ -37,11 +37,15 @@ TEST(Table, RejectsDuplicateAndMismatchedColumns) {
 
 TEST(Table, TakeAndFilter) {
   const Table t = make_sample();
-  const Table evens = t.filter([&](std::size_t r) {
+  const std::vector<std::size_t> big = t.find_rows([&](std::size_t r) {
     return t.column("x").as_double(r) > 2.0;
   });
-  EXPECT_EQ(evens.num_rows(), 2U);
-  EXPECT_DOUBLE_EQ(evens.column("x").as_double(0), 3.0);
+  EXPECT_EQ(big, (std::vector<std::size_t>{2, 3}));
+  const Table filtered = t.take(big);
+  EXPECT_EQ(filtered.num_rows(), 2U);
+  EXPECT_DOUBLE_EQ(filtered.column("x").as_double(0), 3.0);
+  EXPECT_DOUBLE_EQ(filtered.column("rank").as_double(1), 1.0);
+  EXPECT_TRUE(t.find_rows([](std::size_t) { return false; }).empty());
 
   const std::vector<std::size_t> idx = {3, 0};
   const Table taken = t.take(idx);
@@ -77,48 +81,6 @@ TEST(Table, SortedIndicesMissingLast) {
   EXPECT_EQ(order[0], 2U);
   EXPECT_EQ(order[1], 0U);
   EXPECT_EQ(order[2], 1U);  // missing sorts last
-}
-
-TEST(Table, PreviewRendersHeaderAndRows) {
-  const Table t = make_sample();
-  const std::string preview = t.preview(2);
-  EXPECT_NE(preview.find("group"), std::string::npos);
-  EXPECT_NE(preview.find("more rows"), std::string::npos);
-}
-
-TEST(TableBuilder, BuildsRowWise) {
-  TableBuilder b;
-  b.add_continuous("v").add_nominal("k").add_ordinal("o");
-  b.begin_row();
-  b.set("v", 1.5);
-  b.set("k", std::string_view("hi"));
-  b.set("o", std::int32_t{7});
-  b.begin_row();
-  b.set("o", std::int32_t{8});
-  b.set_missing("v");
-  b.set("k", std::string_view("lo"));
-  const Table t = b.finish();
-  EXPECT_EQ(t.num_rows(), 2U);
-  EXPECT_TRUE(t.column("v").is_missing(1));
-  EXPECT_EQ(t.column("k").cell_to_string(1), "lo");
-}
-
-TEST(TableBuilder, EnforcesCompleteRows) {
-  TableBuilder b;
-  b.add_continuous("v").add_continuous("w");
-  b.begin_row();
-  b.set("v", 1.0);
-  EXPECT_THROW(b.set("v", 2.0), util::precondition_error);  // set twice
-  EXPECT_THROW(b.begin_row(), util::precondition_error);    // w unset
-}
-
-TEST(TableBuilder, RejectsUnknownColumnAndEmptySchema) {
-  TableBuilder b;
-  b.add_continuous("v");
-  b.begin_row();
-  EXPECT_THROW(b.set("zzz", 1.0), util::precondition_error);
-  TableBuilder empty;
-  EXPECT_THROW(empty.begin_row(), util::precondition_error);
 }
 
 }  // namespace
