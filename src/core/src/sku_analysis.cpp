@@ -20,11 +20,10 @@ std::optional<SkuId> sku_from_label(const std::string& label) {
   return std::nullopt;
 }
 
-/// One row per rack: static features + mean λ + peak µ, for the µ-side MF
+/// One row per rack: static features + peak µ, for the µ-side MF
 /// normalization and the SF peak metric.
 struct RackSummary {
   const Rack* rack;
-  double mean_lambda = 0.0;
   double peak_mu = 0.0;
 };
 
@@ -33,18 +32,10 @@ std::vector<RackSummary> summarize_racks(const FailureMetrics& metrics) {
   std::vector<RackSummary> out;
   out.reserve(fleet.num_racks());
   for (const Rack& rack : fleet.racks()) {
-    RackSummary s;
-    s.rack = &rack;
-    stats::Accumulator lambda;
-    const util::DayIndex first = std::max<util::DayIndex>(0, rack.commission_day);
-    for (util::DayIndex day = first; day < fleet.spec().num_days; ++day) {
-      lambda.add(metrics.hardware_count(rack.id, day));
-    }
-    s.mean_lambda = lambda.mean();
     const auto mu = metrics.mu_series(rack.id, DeviceKind::kServer,
                                       Granularity::kDaily, /*server_level_all=*/true);
-    s.peak_mu = *std::max_element(mu.begin(), mu.end());
-    out.push_back(s);
+    const double peak_mu = *std::max_element(mu.begin(), mu.end());
+    out.push_back({&rack, peak_mu});
   }
   return out;
 }
@@ -52,15 +43,12 @@ std::vector<RackSummary> summarize_racks(const FailureMetrics& metrics) {
 table::Table rack_summary_table(const FailureMetrics& metrics,
                                 const std::vector<RackSummary>& summaries) {
   std::vector<const Rack*> racks;
-  std::vector<double> mean_lambda;
   std::vector<double> peak_mu;
   for (const RackSummary& s : summaries) {
     racks.push_back(s.rack);
-    mean_lambda.push_back(s.mean_lambda);
     peak_mu.push_back(s.peak_mu);
   }
   table::Table out = static_rack_table(metrics.fleet().calendar(), racks);
-  out.add_column("mean_lambda", table::Column::continuous(std::move(mean_lambda)));
   out.add_column("peak_mu", table::Column::continuous(std::move(peak_mu)));
   return out;
 }

@@ -48,17 +48,6 @@ class Channel {
     return true;
   }
 
-  /// Non-blocking enqueue: false when full or closed.
-  bool try_push(T item) {
-    {
-      std::unique_lock lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks until an item is available or the channel is closed AND drained.
   std::optional<T> pop() {
     std::unique_lock lock(mutex_);
@@ -79,11 +68,6 @@ class Channel {
     }
     not_full_.notify_all();
     not_empty_.notify_all();
-  }
-
-  [[nodiscard]] bool closed() const {
-    std::unique_lock lock(mutex_);
-    return closed_;
   }
 
   /// Queued (not yet popped) items — a point-in-time depth gauge.

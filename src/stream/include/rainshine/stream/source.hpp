@@ -76,9 +76,6 @@ class TicketStream {
   /// everyone. Idempotent; the destructor calls it.
   void stop();
 
-  /// Chunks queued but not yet consumed (channel depth).
-  [[nodiscard]] std::size_t queued() const { return channel_.size(); }
-
  private:
   void produce();
 
@@ -102,7 +99,6 @@ class TelemetryStream {
 
   std::optional<TelemetryChunk> next();
   void stop();
-  [[nodiscard]] std::size_t queued() const { return channel_.size(); }
 
  private:
   void produce();

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <span>
 #include <string>
@@ -82,8 +83,18 @@ class Column {
  private:
   ColumnType type_;
   std::variant<std::vector<double>, std::vector<std::int32_t>> data_;
-  std::vector<std::string> dictionary_;                       // nominal only
-  std::unordered_map<std::string, std::int32_t> dict_index_;  // label -> code
+  /// Hashes a std::string and a std::string_view alike, so looking a label
+  /// up builds no std::string.
+  struct LabelHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view label) const noexcept {
+      return std::hash<std::string_view>{}(label);
+    }
+  };
+
+  std::vector<std::string> dictionary_;  // nominal only
+  std::unordered_map<std::string, std::int32_t, LabelHash, std::equal_to<>>
+      dict_index_;  // label -> code
 
   [[nodiscard]] std::vector<double>& doubles();
   [[nodiscard]] const std::vector<double>& doubles() const;

@@ -6,7 +6,7 @@
 // column: they fill typed `Column`s and pass each to `add_column`, whose
 // duplicate-name and equal-length checks catch a missed or doubled value.
 // It deliberately implements only what the analyses need: schema-checked
-// column access, row selection, sorting and group-by aggregation.
+// column access, row selection and sorting.
 #pragma once
 
 #include <functional>

@@ -88,7 +88,7 @@ void Column::push_ordinal(std::int32_t v) {
 
 void Column::push_nominal(std::string_view label) {
   util::require(type_ == ColumnType::kNominal, "push_nominal on non-nominal column");
-  const auto it = dict_index_.find(std::string(label));
+  const auto it = dict_index_.find(label);
   if (it != dict_index_.end()) {
     ints().push_back(it->second);
     return;
@@ -142,7 +142,7 @@ std::string_view Column::label_of(std::int32_t code) const {
 }
 
 std::int32_t Column::code_of(std::string_view label) const noexcept {
-  const auto it = dict_index_.find(std::string(label));
+  const auto it = dict_index_.find(label);
   return it == dict_index_.end() ? kMissingCode : it->second;
 }
 

@@ -22,10 +22,15 @@
 //   3. `std::thread::hardware_concurrency()`.
 //
 // The pool is lazily created on first parallel call and owns
-// `num_threads() - 1` workers (the calling thread participates). Nested
-// `parallel_for` calls from inside a parallel region run serially inline,
-// so composed parallel code (e.g. a forest's partial dependence calling the
-// per-tree grid) cannot deadlock or oversubscribe.
+// `num_threads() - 1` workers (the calling thread participates). Regions
+// started from different threads run side by side: each caller drains its
+// own chunks, and an idle worker helps the oldest region that still has an
+// unclaimed chunk. So a region never waits on another region's chunks (a
+// `/score` predict does not queue behind a forest fit), and a chunk may
+// itself wait for another thread's region. Nested `parallel_for` calls from
+// inside a parallel region run serially inline, so composed parallel code
+// (e.g. a forest's partial dependence calling the per-tree grid) cannot
+// deadlock or oversubscribe.
 #pragma once
 
 #include <cstddef>

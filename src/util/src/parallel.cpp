@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
@@ -31,15 +30,12 @@ std::size_t env_threads() noexcept {
 /// parallel_for calls then run serially inline.
 thread_local bool t_in_parallel_region = false;
 
-/// One job at a time: `run` publishes a chunk function and a chunk count,
-/// then workers and the caller race on an atomic cursor until the range
-/// drains. Determinism never depends on the race — the chunk index fully
+/// Regions from different threads run side by side. Each `run` lists a Job
+/// on its caller's stack and drains that job's chunks itself; an idle worker
+/// helps the oldest listed job that admits it and still has an unclaimed
+/// chunk. A region therefore never waits on another region's chunks.
+/// Determinism never depends on who runs a chunk — the chunk index fully
 /// defines the work — so the pool needs no per-thread state at all.
-///
-/// Every claimed chunk runs to completion (exceptions are captured, not
-/// cancelled), so `pending_` reaches zero exactly when all chunks have
-/// executed; `run` additionally waits for `active_workers_ == 0` so no
-/// straggler from this job can touch the cursor after the next job resets it.
 class Pool {
  public:
   static Pool& instance() {
@@ -51,36 +47,25 @@ class Pool {
   Pool& operator=(const Pool&) = delete;
 
   /// Executes `fn(c)` for every c in [0, num_chunks) using the caller plus
-  /// at most `threads - 1` pool workers. Serializes concurrent top-level
-  /// callers; rethrows the first chunk exception.
+  /// at most `threads - 1` pool workers; rethrows the first chunk exception.
   void run(std::size_t num_chunks, std::size_t threads,
            const std::function<void(std::size_t)>& fn) {
-    const std::unique_lock<std::mutex> gate(run_mutex_);
+    Job job{fn, num_chunks, threads - 1};
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      ensure_workers(threads - 1);
-      job_ = &fn;
-      job_chunks_ = num_chunks;
-      job_worker_limit_ = threads - 1;
-      cursor_.store(0, std::memory_order_relaxed);
-      pending_ = num_chunks;
-      error_ = nullptr;
-      ++epoch_;
+      ensure_workers(job.width);
+      jobs_.push_back(&job);
     }
     work_cv_.notify_all();
 
-    const std::size_t mine = work(fn, num_chunks);  // caller participates
+    work(job);  // the caller drains its own job
 
+    // Every chunk is claimed now, so no worker can join the job: unlist it
+    // and wait for the helpers still running a chunk of it.
     std::unique_lock<std::mutex> lock(mutex_);
-    pending_ -= mine;
-    done_cv_.wait(lock, [this] { return pending_ == 0 && active_workers_ == 0; });
-    job_ = nullptr;
-    if (error_ != nullptr) {
-      const std::exception_ptr error = error_;
-      error_ = nullptr;
-      lock.unlock();
-      std::rethrow_exception(error);
-    }
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+    done_cv_.wait(lock, [&] { return job.helpers == 0; });
+    if (job.error != nullptr) std::rethrow_exception(job.error);
   }
 
   ~Pool() {
@@ -93,27 +78,48 @@ class Pool {
   }
 
  private:
+  /// One running region. A chunk belongs to whoever claims its index from
+  /// `cursor`, and every claimed chunk runs to completion (exceptions are
+  /// captured, not cancelled), so once the cursor has passed the end and no
+  /// helper is left, every chunk has executed.
+  struct Job {
+    const std::function<void(std::size_t)>& fn;
+    std::size_t num_chunks;
+    std::size_t width;                   ///< workers admitted: index < width
+    std::atomic<std::size_t> cursor{0};  ///< next unclaimed chunk
+    std::size_t helpers = 0;             ///< workers inside work(*this)
+    std::exception_ptr error;            ///< first chunk exception
+  };
+
   Pool() = default;
 
-  /// Drains chunks from the shared cursor; returns how many this thread ran.
-  /// The first exception (across all threads) is kept for `run` to rethrow.
-  std::size_t work(const std::function<void(std::size_t)>& fn,
-                   std::size_t num_chunks) {
+  /// Runs chunks of `job` until its cursor passes the end. The first
+  /// exception (across all threads) is kept for `run` to rethrow.
+  void work(Job& job) {
     t_in_parallel_region = true;
-    std::size_t completed = 0;
     for (;;) {
-      const std::size_t c = cursor_.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) break;
+      const std::size_t c = job.cursor.fetch_add(1, std::memory_order_relaxed);
+      if (c >= job.num_chunks) break;
       try {
-        fn(c);
+        job.fn(c);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(mutex_);
-        if (error_ == nullptr) error_ = std::current_exception();
+        if (job.error == nullptr) job.error = std::current_exception();
       }
-      ++completed;
     }
     t_in_parallel_region = false;
-    return completed;
+  }
+
+  /// The oldest listed job that admits worker `index` and still has an
+  /// unclaimed chunk, or null. Called with `mutex_` held.
+  Job* claimable(std::size_t index) const {
+    for (Job* job : jobs_) {
+      if (index < job->width &&
+          job->cursor.load(std::memory_order_relaxed) < job->num_chunks) {
+        return job;
+      }
+    }
+    return nullptr;
   }
 
   void ensure_workers(std::size_t want) {
@@ -124,50 +130,27 @@ class Pool {
   }
 
   void worker_loop(std::size_t index) {
-    std::uint64_t seen_epoch = 0;
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      const std::function<void(std::size_t)>* fn = nullptr;
-      std::size_t num_chunks = 0;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_cv_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
-        if (stop_) return;
-        seen_epoch = epoch_;
-        // Workers beyond the job's requested width sit this one out, so a
-        // wide earlier job doesn't inflate a deliberately narrow later one.
-        if (job_ != nullptr && index < job_worker_limit_) {
-          fn = job_;
-          num_chunks = job_chunks_;
-          ++active_workers_;
-        }
-      }
-      if (fn == nullptr) continue;
-      const std::size_t completed = work(*fn, num_chunks);
-      bool all_done = false;
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        pending_ -= completed;
-        --active_workers_;
-        all_done = pending_ == 0 && active_workers_ == 0;
-      }
-      if (all_done) done_cv_.notify_all();
+      Job* job = nullptr;
+      work_cv_.wait(lock, [&] {
+        return stop_ || (job = claimable(index)) != nullptr;
+      });
+      if (stop_) return;
+      ++job->helpers;
+      lock.unlock();
+      work(*job);
+      lock.lock();
+      // The caller may return, destroying the job, as soon as the lock drops.
+      if (--job->helpers == 0) done_cv_.notify_all();
     }
   }
-
-  std::mutex run_mutex_;  ///< serializes top-level parallel regions
 
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   std::vector<std::thread> workers_;
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  std::size_t job_chunks_ = 0;
-  std::size_t job_worker_limit_ = 0;
-  std::atomic<std::size_t> cursor_{0};
-  std::size_t pending_ = 0;        ///< chunks not yet executed
-  std::size_t active_workers_ = 0; ///< workers currently inside work()
-  std::uint64_t epoch_ = 0;
-  std::exception_ptr error_;
+  std::vector<Job*> jobs_;  ///< running jobs, oldest first
   bool stop_ = false;
 };
 

@@ -6,6 +6,8 @@
 //     the length of its message;
 //   * FailureMetrics::count allocates nothing;
 //   * Column::push_continuous allocates only when its vector grows;
+//   * Column::push_nominal and code_of look a known label up without
+//     copying it, however long it is;
 //   * rack_day_table makes fewer allocations than it has rows: it pays per
 //     column and per vector growth, never per cell.
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string_view>
 #include <vector>
 
 #include "rainshine/core/metrics.hpp"
@@ -91,6 +94,23 @@ TEST(Alloc, PushContinuousAllocatesOnlyToGrow) {
   });
   EXPECT_LE(n, 11U);  // capacities 1, 2, 4, ..., 1024
   EXPECT_EQ(column.size(), 1000U);
+}
+
+TEST(Alloc, KnownNominalLabelCostsNoAllocationPerLookup) {
+  // 1,000 pushes of a label already in the dictionary: only the code
+  // vector's growth may allocate, for a 22-character label (past the
+  // small-string buffer) as for a 5-character one.
+  const auto repeat_pushes = [](std::string_view label) {
+    table::Column column(table::ColumnType::kNominal);
+    column.push_nominal(label);
+    return allocations_during([&] {
+      for (int i = 0; i < 1000; ++i) {
+        column.push_nominal(label);
+        EXPECT_EQ(column.code_of(label), 0);
+      }
+    });
+  };
+  EXPECT_LE(repeat_pushes("rack-R0042-dc3-west-S4"), repeat_pushes("DC1-S"));
 }
 
 class AllocFleetTest : public ::testing::Test {

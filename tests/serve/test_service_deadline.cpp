@@ -9,9 +9,7 @@
 
 #include <chrono>
 #include <future>
-#include <thread>
 
-#include "rainshine/cart/flat.hpp"
 #include "rainshine/obs/metrics.hpp"
 #include "rainshine/util/parallel.hpp"
 #include "rainshine/util/rng.hpp"
@@ -97,42 +95,33 @@ TEST(ServiceDeadline, ExpiredOnArrivalIsRefusedNotScored) {
 }
 
 TEST(ServiceDeadline, QueuedRequestExpiringBeforeFlushFailsInsteadOfScoring) {
-  // At two threads a request of several row blocks scores through the shared
-  // pool, which runs one top-level region at a time. Holding the pool from
-  // another thread therefore parks the dispatcher inside the first request's
-  // Forest::predict while the requests behind it wait in the queue.
-  util::set_num_threads(2);
-  PredictionService service(regression_artifact());
-  const Table blocker =
-      features_only(make_rows(2 * cart::FlatForest::kBlockRows, 12));
+  // The dispatcher scores requests one at a time in arrival order, so it
+  // scores a large first request before it checks the deadline of any
+  // request behind it, whether or not they share a group. The first request's
+  // predict time is measured alone, at one thread, and the doomed request
+  // gets a tenth of that as its budget: admitted with its deadline still
+  // ahead, it expires while queued.
+  util::set_num_threads(1);
+  const ModelArtifact artifact = regression_artifact();
+  const Table blocker = features_only(make_rows(std::size_t{1} << 20, 12));
   const Table rows = features_only(make_rows(4, 13));
+  const auto blocker_rows = make_scoring_dataset(blocker, artifact.meta.schema);
+  const auto predict_start = steady_clock::now();
+  (void)artifact.forest->predict(blocker_rows);
+  const auto budget = (steady_clock::now() - predict_start) / 10;
 
-  std::promise<void> entered;
-  std::promise<void> release;
-  std::future<void> pool_held = entered.get_future();
-  const std::shared_future<void> released = release.get_future().share();
-  std::thread holder([&] {
-    util::parallel_for(2, 1, [&](std::size_t begin, std::size_t) {
-      if (begin == 0) entered.set_value();
-      released.wait();
-    });
-  });
-  pool_held.wait();
-
+  PredictionService service(artifact);
   auto first = service.submit(blocker);
-  // Admitted with its deadline ~50ms ahead; it passes while queued.
-  const auto deadline = steady_clock::now() + milliseconds(50);
+  const auto deadline = steady_clock::now() + budget;
   auto doomed = service.submit(rows, deadline);
+  ASSERT_LT(steady_clock::now(), deadline) << "the budget ran out before admission";
   // Queued behind it, no deadline: must still be scored.
   auto healthy = service.submit(rows);
-  std::this_thread::sleep_until(deadline + milliseconds(1));
-  release.set_value();
-  holder.join();
-  util::clear_thread_override();
 
   EXPECT_EQ(first.get().size(), blocker.num_rows());
   EXPECT_THROW(doomed.get(), deadline_exceeded_error);
   EXPECT_EQ(healthy.get().size(), 4u);
+  util::clear_thread_override();
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests_admitted, 3u);

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "rainshine/table/csv.hpp"
-#include "rainshine/table/groupby.hpp"
 #include "rainshine/util/check.hpp"
 
 namespace rainshine::table {
@@ -17,58 +16,6 @@ Table make_sample() {
                                                                "S2", "S1"}));
   t.add_column("rate", Column::continuous({1.0, 2.0, 3.0, 4.0, 5.0}));
   return t;
-}
-
-TEST(GroupBy, SingleKey) {
-  const Table t = make_sample();
-  const std::vector<std::string> keys = {"dc"};
-  const auto groups = group_by(t, keys);
-  ASSERT_EQ(groups.size(), 2U);
-  EXPECT_EQ(groups[0].key[0], "DC1");
-  EXPECT_EQ(groups[0].rows, (std::vector<std::size_t>{0, 2, 4}));
-  EXPECT_EQ(groups[1].rows, (std::vector<std::size_t>{1, 3}));
-}
-
-TEST(GroupBy, CompositeKey) {
-  const Table t = make_sample();
-  const std::vector<std::string> keys = {"dc", "sku"};
-  const auto groups = group_by(t, keys);
-  EXPECT_EQ(groups.size(), 4U);
-}
-
-TEST(Aggregate, ComputesPerGroupStats) {
-  const Table t = make_sample();
-  const std::vector<std::string> keys = {"dc"};
-  const std::vector<Aggregation> aggs = {
-      {"rate", Reduction::kMean, "mean_rate"},
-      {"rate", Reduction::kCount, "n"},
-      {"rate", Reduction::kMax, "max_rate"},
-      {"rate", Reduction::kSum, "sum_rate"},
-  };
-  const Table out = aggregate(t, keys, aggs);
-  ASSERT_EQ(out.num_rows(), 2U);
-  // DC1: rates {1, 3, 5}.
-  EXPECT_DOUBLE_EQ(out.column("mean_rate").as_double(0), 3.0);
-  EXPECT_DOUBLE_EQ(out.column("n").as_double(0), 3.0);
-  EXPECT_DOUBLE_EQ(out.column("max_rate").as_double(0), 5.0);
-  EXPECT_DOUBLE_EQ(out.column("sum_rate").as_double(0), 9.0);
-  // DC2: rates {2, 4}.
-  EXPECT_DOUBLE_EQ(out.column("mean_rate").as_double(1), 3.0);
-  EXPECT_DOUBLE_EQ(out.column("n").as_double(1), 2.0);
-}
-
-TEST(Aggregate, P95AndStddev) {
-  Table t;
-  t.add_column("g", Column::nominal(std::vector<std::string>(100, "all")));
-  std::vector<double> v(100);
-  for (int i = 0; i < 100; ++i) v[static_cast<std::size_t>(i)] = i + 1;
-  t.add_column("v", Column::continuous(std::move(v)));
-  const std::vector<std::string> keys = {"g"};
-  const std::vector<Aggregation> aggs = {{"v", Reduction::kP95, "p95"},
-                                         {"v", Reduction::kStddev, "sd"}};
-  const Table out = aggregate(t, keys, aggs);
-  EXPECT_NEAR(out.column("p95").as_double(0), 95.05, 1e-9);
-  EXPECT_NEAR(out.column("sd").as_double(0), 29.011, 0.01);
 }
 
 TEST(Csv, RoundTripsTypedTable) {

@@ -4,12 +4,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include "rainshine/cart/flat.hpp"
+#include "rainshine/cart/forest.hpp"
+#include "rainshine/util/rng.hpp"
 
 namespace rainshine::util {
 namespace {
@@ -149,6 +157,82 @@ TEST(Parallel, ChunkBoundariesIndependentOfThreadCount) {
     return seen;
   };
   EXPECT_EQ(boundaries(1), boundaries(4));
+}
+
+TEST(Parallel, RegionsOnTwoThreadsDoNotWaitForEachOther) {
+  // Thread A's region blocks inside every chunk until this thread's region
+  // has returned, so A's caller and the one worker are both busy. This region
+  // must still run, on this thread alone. A pool that ran one region at a
+  // time would park it behind A forever; the chunks' timed wait is the
+  // watchdog that ends the test instead.
+  const ThreadGuard guard;
+  set_num_threads(2);
+  std::promise<void> a_entered;
+  std::once_flag entered_once;
+  std::promise<void> b_returned;
+  const std::shared_future<void> b_done = b_returned.get_future().share();
+  std::atomic<int> timed_out{0};
+  std::thread a([&] {
+    parallel_for(2, 1, [&](std::size_t, std::size_t) {
+      std::call_once(entered_once, [&] { a_entered.set_value(); });
+      const std::shared_future<void> done = b_done;
+      if (done.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+        ++timed_out;
+      }
+    });
+  });
+  a_entered.get_future().wait();
+
+  std::vector<int> hits(64);
+  parallel_for(hits.size(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) ++hits[i];
+  });
+  b_returned.set_value();
+  a.join();
+  EXPECT_EQ(timed_out.load(), 0) << "this region waited for thread A's";
+  for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(Parallel, ConcurrentRegionsMatchSerial) {
+  // Four threads run regions at once, so workers move between jobs; each
+  // result must still equal its 1-thread result bit for bit.
+  const ThreadGuard guard;
+  util::Rng rng(21);
+  std::vector<double> x(4 * cart::FlatForest::kBlockRows);
+  std::vector<double> y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = rng.uniform(0.0, 6.0);
+    y[i] = std::sin(x[i]) + rng.uniform(-0.2, 0.2);
+  }
+  table::Table storage;
+  storage.add_column("x", table::Column::continuous(std::move(x)));
+  storage.add_column("y", table::Column::continuous(std::move(y)));
+  const cart::Dataset rows(storage, "y", {"x"}, cart::Task::kRegression);
+  cart::ForestConfig cfg;
+  cfg.num_trees = 8;
+  const cart::Forest forest = cart::grow_forest(rows, cfg);
+  const auto mapped = [] {
+    return parallel_map(500, [](std::size_t i) {
+      return std::sqrt(static_cast<double>(i));
+    });
+  };
+
+  set_num_threads(1);
+  const std::vector<double> want_map = mapped();
+  const std::vector<double> want_predict = forest.predict(rows);
+  set_num_threads(4);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 20; ++round) {
+        if (mapped() != want_map) ++mismatches;
+        if (forest.predict(rows) != want_predict) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
