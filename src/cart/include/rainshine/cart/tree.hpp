@@ -32,8 +32,10 @@ namespace rainshine::cart {
 /// id), missing compacted to a tail ascending by row id — so they grow
 /// bit-identical trees (asserted by tests/cart/test_grow_golden.cpp).
 enum class SplitEngine : std::uint8_t {
-  /// Sort each feature once per tree, then thread the sorted orders down the
-  /// recursion by stable partitioning (O(d·n) per level). The default.
+  /// Sort each feature's rows once per dataset (grow_forest shares one sort
+  /// among all its trees; each tree keeps its bagged rows of it), then
+  /// thread the orders down the recursion by stable partitioning (O(d·n)
+  /// per level). The default.
   kPresort,
   /// Re-sort the node's rows per feature at every node (O(d·n log n) per
   /// level) — the seed implementation, kept as the golden reference.

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <utility>
 
+#include "presort.hpp"
 #include "rainshine/util/check.hpp"
 #include "rainshine/util/parallel.hpp"
 
@@ -107,7 +108,7 @@ struct TreeFit {
 };
 
 TreeFit fit_one_tree(const Dataset& data, const ForestConfig& config,
-                     const util::Rng& root, std::size_t t,
+                     const RowOrders& orders, const util::Rng& root, std::size_t t,
                      std::size_t sample_size) {
   const std::size_t n = data.num_rows();
   util::Rng rng = root.split(t);
@@ -137,7 +138,7 @@ TreeFit fit_one_tree(const Dataset& data, const ForestConfig& config,
     }
   }
 
-  TreeFit fit{grow(data, tree_cfg, bag_weight), {}};
+  TreeFit fit{grow(data, tree_cfg, bag_weight, orders), {}};
 
   // OOB predictions against the ORIGINAL dataset.
   for (std::size_t r = 0; r < n; ++r) {
@@ -157,11 +158,15 @@ Forest grow_forest(const Dataset& data, const ForestConfig& config) {
   const auto sample_size = std::max<std::size_t>(
       1, static_cast<std::size_t>(config.sample_fraction * static_cast<double>(n)));
 
+  // Every tree bags rows of the same dataset, so one sort of all rows per
+  // feature serves them all: each tree keeps its bagged rows of it.
+  const RowOrders orders = presort_rows(data, config.tree.engine);
+
   // Each tree's RNG derives from (seed, tree_index) alone, so the fits are
   // independent of scheduling; one tree per parallel unit.
   const util::Rng root = util::Rng(config.seed).split("forest");
   auto fits = util::parallel_map(config.num_trees, [&](std::size_t t) {
-    return fit_one_tree(data, config, root, t, sample_size);
+    return fit_one_tree(data, config, orders, root, t, sample_size);
   });
 
   // Out-of-bag accumulation, serially in tree order: per row, sum of

@@ -2,22 +2,24 @@
 //
 // Two split-search engines share one arithmetic contract (see DESIGN.md §6d):
 //
-//   * kPresort (default): each numeric feature is sorted ONCE per tree —
-//     rows ascending by (value, row id), missing compacted to an ascending
-//     tail — and the per-feature orders are threaded down the recursion by
-//     stable partitioning, so every node's split search is a single linear
-//     sweep. O(d·n) per tree level.
+//   * kPresort (default): each numeric feature is sorted ONCE per dataset by
+//     presort_rows — rows ascending by (value, row id), missing compacted to
+//     an ascending tail — and grow_forest shares those orders with all of its
+//     trees. Each tree keeps, in sequence, the rows it bagged, then threads
+//     its orders down the recursion by stable partitioning, so every node's
+//     split search is a single linear sweep. O(d·n) per tree level; a tree
+//     sorts nothing.
 //   * kExhaustive: the seed implementation — re-sort the node's rows per
 //     feature at every node. O(d·n log n) per level. Kept as the golden
 //     reference; tests/cart/test_grow_golden.cpp asserts both engines grow
 //     bit-identical trees.
 //
 // Bit-identity holds because both engines feed the SAME sweep the SAME row
-// sequence: the presorted tie-break is (value, row id) and stable partition
-// preserves it, while the exhaustive comparator sorts by (value, row id)
-// directly — a deterministic total order, so the sequences agree element
-// for element and every floating-point accumulation happens in the same
-// order.
+// sequence: the presorted tie-break is (value, row id), and dropping the
+// rows a tree did not bag and stable partition both preserve it, while the
+// exhaustive comparator sorts by (value, row id) directly — a deterministic
+// total order, so the sequences agree element for element and every
+// floating-point accumulation happens in the same order.
 //
 // Rows carry multiplicity weights (empty = all ones): grow_forest fits each
 // bootstrap tree through per-row bag counts over the original dataset
@@ -30,10 +32,11 @@
 #include <numeric>
 #include <type_traits>
 
-#include "rainshine/cart/tree.hpp"
+#include "presort.hpp"
 #include "rainshine/obs/metrics.hpp"
 #include "rainshine/obs/trace.hpp"
 #include "rainshine/util/check.hpp"
+#include "rainshine/util/parallel.hpp"
 
 namespace rainshine::cart {
 
@@ -103,6 +106,22 @@ struct ClassStats {
   }
 };
 
+/// Deterministic total order shared by both engines: present rows by
+/// (value, row id), then missing rows by row id.
+struct OrderCmp {
+  const Dataset* data;
+  std::size_t f;
+  bool operator()(std::uint32_t a, std::uint32_t b) const {
+    const double xa = data->x(a, f);
+    const double xb = data->x(b, f);
+    const bool ma = std::isnan(xa);
+    const bool mb = std::isnan(xb);
+    if (ma != mb) return mb;
+    if (!ma && xa != xb) return xa < xb;
+    return a < b;
+  }
+};
+
 struct BestSplit {
   bool found = false;
   std::size_t feature = 0;
@@ -114,10 +133,12 @@ struct BestSplit {
 
 class Builder {
  public:
-  Builder(const Dataset& data, const Config& cfg, std::span<const double> weights)
+  Builder(const Dataset& data, const Config& cfg, std::span<const double> weights,
+          const RowOrders& sorted)
       : data_(data),
         cfg_(cfg),
         weights_(weights),
+        sorted_(sorted),
         min_leaf_(static_cast<double>(cfg.min_samples_leaf)),
         presort_(cfg.engine == SplitEngine::kPresort) {}
 
@@ -133,13 +154,24 @@ class Builder {
     util::require(!rows_.empty(), "grow: every row weight is zero");
 
     if (presort_) {
-      obs::ScopedTimer presort_timer(obs::registry().histogram("cart.presort_us"));
+      // side_ doubles as the in-bag mask here: partition() rewrites it for
+      // every row of a node before it reads it.
       side_.assign(n, 0);
+      for (const std::uint32_t r : rows_) side_[r] = 1;
       order_.resize(data_.num_features());
       for (std::size_t f = 0; f < data_.num_features(); ++f) {
         if (data_.info(f).categorical || !allowed(f)) continue;
-        order_[f] = rows_;
-        std::sort(order_[f].begin(), order_[f].end(), order_cmp(f));
+        util::ensure(f < sorted_.size() && sorted_[f].size() == n,
+                     "grow: no presorted order for a numeric feature");
+        // Branch-free filter: write every row, advance past the bagged ones.
+        auto& ord = order_[f];
+        ord.resize(rows_.size() + 1);
+        std::size_t kept = 0;
+        for (const std::uint32_t r : sorted_[f]) {
+          ord[kept] = r;
+          kept += side_[r];
+        }
+        ord.resize(kept);
       }
     }
 
@@ -165,6 +197,7 @@ class Builder {
   const Dataset& data_;
   const Config& cfg_;
   std::span<const double> weights_;
+  const RowOrders& sorted_;  ///< every row, per numeric feature (presort_rows)
   double min_leaf_;
   bool presort_;
   std::vector<Node> nodes_;
@@ -175,9 +208,9 @@ class Builder {
   /// partitioned in place at each split: non-missing rows first, in parent
   /// order, then the missing-value rows routed to this child.
   std::vector<std::uint32_t> rows_;
-  /// kPresort: per numeric feature, the active rows ascending by
-  /// (value, row id) with missing compacted to an ascending tail; segments
-  /// track rows_ and are stably partitioned alongside it.
+  /// kPresort: per numeric feature, the active rows of sorted_ in sequence
+  /// (ascending by (value, row id), missing compacted to an ascending tail);
+  /// segments track rows_ and are stably partitioned alongside it.
   std::vector<std::vector<std::uint32_t>> order_;
   std::vector<std::uint8_t> side_;  ///< by dataset row: 1 = routed left
 
@@ -198,23 +231,6 @@ class Builder {
   [[nodiscard]] bool allowed(std::size_t f) const {
     return cfg_.allowed_features.empty() || cfg_.allowed_features[f] != 0;
   }
-
-  /// Deterministic total order shared by both engines: present rows by
-  /// (value, row id), then missing rows by row id.
-  struct OrderCmp {
-    const Dataset* data;
-    std::size_t f;
-    bool operator()(std::uint32_t a, std::uint32_t b) const {
-      const double xa = data->x(a, f);
-      const double xb = data->x(b, f);
-      const bool ma = std::isnan(xa);
-      const bool mb = std::isnan(xb);
-      if (ma != mb) return mb;
-      if (!ma && xa != xb) return xa < xb;
-      return a < b;
-    }
-  };
-  [[nodiscard]] OrderCmp order_cmp(std::size_t f) const { return {&data_, f}; }
 
   template <typename S>
   [[nodiscard]] S make_stats() const {
@@ -299,7 +315,7 @@ class Builder {
     }
     sort_buf_.assign(rows_.begin() + static_cast<std::ptrdiff_t>(begin),
                      rows_.begin() + static_cast<std::ptrdiff_t>(end));
-    std::sort(sort_buf_.begin(), sort_buf_.end(), order_cmp(f));
+    std::sort(sort_buf_.begin(), sort_buf_.end(), OrderCmp{&data_, f});
     sweep_numeric<S>(sort_buf_, f, parent_stats, best);
   }
 
@@ -524,12 +540,33 @@ class Builder {
 
 }  // namespace
 
+RowOrders presort_rows(const Dataset& data, SplitEngine engine) {
+  RowOrders orders(data.num_features());
+  if (engine != SplitEngine::kPresort) return orders;
+  const obs::ScopedTimer timer(obs::registry().histogram("cart.presort_us"));
+  util::parallel_for(data.num_features(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t f = begin; f < end; ++f) {
+      if (data.info(f).categorical) continue;
+      auto& ord = orders[f];
+      ord.resize(data.num_rows());
+      std::iota(ord.begin(), ord.end(), std::uint32_t{0});
+      std::sort(ord.begin(), ord.end(), OrderCmp{&data, f});
+    }
+  });
+  return orders;
+}
+
 Tree grow(const Dataset& data, const Config& config) {
   return grow(data, config, std::span<const double>{});
 }
 
 Tree grow(const Dataset& data, const Config& config,
           std::span<const double> row_weights) {
+  return grow(data, config, row_weights, presort_rows(data, config.engine));
+}
+
+Tree grow(const Dataset& data, const Config& config,
+          std::span<const double> row_weights, const RowOrders& orders) {
   util::require(data.num_rows() > 0, "cannot grow a tree on empty data");
   util::require(data.has_response(), "growing requires a response column");
   util::require(config.min_samples_leaf >= 1, "min_samples_leaf must be >= 1");
@@ -542,7 +579,7 @@ Tree grow(const Dataset& data, const Config& config,
     util::require(wt >= 0.0 && !std::isnan(wt),
                   "row_weights must be non-negative and not NaN");
   }
-  Builder builder(data, config, row_weights);
+  Builder builder(data, config, row_weights, orders);
   return builder.build();
 }
 

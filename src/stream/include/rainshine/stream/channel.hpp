@@ -76,8 +76,6 @@ class Channel {
     return items_.size();
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
  private:
   const std::size_t capacity_;
   mutable std::mutex mutex_;

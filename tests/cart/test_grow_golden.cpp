@@ -5,7 +5,10 @@
 // thresholds, improvements and structure — to the exhaustive per-node-sort
 // reference (SplitEngine::kExhaustive, the seed implementation). Both engines
 // feed one shared sweep the same (value, row id)-ordered row sequence, so any
-// divergence is a bug in the order threading, not floating-point noise.
+// divergence is a bug in the order threading, not floating-point noise. A
+// forest sorts its rows once and every tree filters its bagged rows out of
+// those orders, so the forest cases also pin that filter: feature subspaces,
+// partial bags, thread counts, and the all-missing and constant columns.
 //
 // The weighted half pins the zero-copy bootstrap contract: a weight-w row
 // behaves like w stacked copies, all-ones weights are bit-identical to the
@@ -17,6 +20,7 @@
 
 #include "rainshine/cart/forest.hpp"
 #include "rainshine/util/check.hpp"
+#include "rainshine/util/parallel.hpp"
 #include "rainshine/util/rng.hpp"
 
 namespace rainshine::cart {
@@ -78,6 +82,20 @@ Table mixed_fixture(std::size_t n, util::Rng& rng, double missing_rate = 0.0) {
   return t;
 }
 
+/// Appends the filter's two edge cases: a numeric column that is all NaN
+/// (every row sits in the missing tail) and a constant one (every row ties,
+/// so the order is the row id order).
+void add_edge_columns(Table& t) {
+  const std::size_t n = t.num_rows();
+  t.add_column("blank", Column::continuous(std::vector<double>(n, kNaN)));
+  t.add_column("flat", Column::continuous(std::vector<double>(n, 3.0)));
+}
+
+/// Restores auto thread resolution when a test exits (success or failure).
+struct ThreadGuard {
+  ~ThreadGuard() { util::clear_thread_override(); }
+};
+
 Config deep_config(SplitEngine engine) {
   Config cfg;
   cfg.cp = 0.0005;
@@ -96,6 +114,29 @@ void expect_engines_agree(const Dataset& data, const Config& base) {
   const Tree b = grow(data, exhaustive);
   ASSERT_EQ(a.nodes().size(), b.nodes().size());
   EXPECT_TRUE(a == b);
+}
+
+/// grow_forest on the shared presort against the kExhaustive forest, grown
+/// serially, with and without a feature subspace, on full and partial bags,
+/// at 1 and 4 threads.
+void expect_forest_engines_agree(const Dataset& data, ForestConfig cfg) {
+  const ThreadGuard guard;
+  for (const std::size_t features : {std::size_t{0}, std::size_t{2}}) {
+    for (const double fraction : {1.0, 0.6}) {
+      cfg.features_per_tree = features;
+      cfg.sample_fraction = fraction;
+      cfg.tree.engine = SplitEngine::kExhaustive;
+      util::set_num_threads(1);
+      const Forest oracle = grow_forest(data, cfg);
+      cfg.tree.engine = SplitEngine::kPresort;
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        util::set_num_threads(threads);
+        EXPECT_TRUE(grow_forest(data, cfg) == oracle)
+            << "features_per_tree " << features << ", sample_fraction " << fraction
+            << ", threads " << threads;
+      }
+    }
+  }
 }
 
 TEST(SplitEngineGolden, RegressionWithTies) {
@@ -159,6 +200,29 @@ TEST(SplitEngineGolden, ClassificationForestAcrossEngines) {
   ForestConfig exhaustive = presort;
   exhaustive.tree.engine = SplitEngine::kExhaustive;
   EXPECT_TRUE(grow_forest(data, presort) == grow_forest(data, exhaustive));
+}
+
+TEST(SplitEngineGolden, SharedPresortRegressionForest) {
+  util::Rng rng(108);
+  Table t = regression_fixture(600, rng, 0.12);
+  add_edge_columns(t);
+  const Dataset data(t, "y", {"x1", "blank", "x2", "flat"}, Task::kRegression);
+  ForestConfig cfg;
+  cfg.num_trees = 8;
+  cfg.tree = deep_config(SplitEngine::kPresort);
+  expect_forest_engines_agree(data, cfg);
+}
+
+TEST(SplitEngineGolden, SharedPresortClassificationForest) {
+  util::Rng rng(109);
+  Table t = mixed_fixture(600, rng, 0.1);
+  add_edge_columns(t);
+  const Dataset data(t, "label", {"temp", "flat", "age", "sku", "blank"},
+                     Task::kClassification);
+  ForestConfig cfg;
+  cfg.num_trees = 8;
+  cfg.tree = deep_config(SplitEngine::kPresort);
+  expect_forest_engines_agree(data, cfg);
 }
 
 // ---- Weighted (bootstrap-multiplicity) view -----------------------------

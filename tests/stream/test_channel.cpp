@@ -17,7 +17,6 @@ using std::chrono::milliseconds;
 
 TEST(Channel, FifoWithinCapacity) {
   Channel<int> ch(4);
-  EXPECT_EQ(ch.capacity(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(ch.push(i));
   EXPECT_EQ(ch.size(), 4u);
   for (int i = 0; i < 4; ++i) {
